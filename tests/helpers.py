@@ -62,3 +62,42 @@ def time_domain_phat_oracle(x_l, x_p, lags, fft_len):
     return np.array([
         np.dot(np.roll(w_l, -tau), w_p) for tau in range(lags[0], lags[1] + 1)
     ])
+
+
+def three_pass_decode_doa(scores, n_sources, min_separation_deg=10.0):
+    """Reference peak picker: the three-pass decoder that ``decode_doa``
+    replaced, kept verbatim so the one-pass version is checked against it.
+
+    Pass 1 takes circular local maxima by decreasing score (ties to the
+    lower index) outside the suppression radius of earlier picks, pass 2
+    any bin under the same rule, pass 3 any bin not yet taken.
+    """
+    scores = np.asarray(scores, dtype=float).reshape(-1)
+    n_bins = scores.size
+    is_peak = (scores >= np.roll(scores, 1)) & (scores >= np.roll(scores, -1))
+
+    def ordered(indices):
+        return sorted(indices, key=lambda i: (-scores[i], i))
+
+    chosen = []
+
+    def far_enough(i):
+        return all(
+            min(abs(i - j), n_bins - abs(i - j)) * (360.0 / n_bins) >= min_separation_deg
+            for j in chosen
+        )
+
+    for candidates, check in (
+        (ordered(np.flatnonzero(is_peak)), True),
+        (ordered(range(n_bins)), True),
+        (ordered(range(n_bins)), False),
+    ):
+        for i in candidates:
+            if len(chosen) == n_sources:
+                break
+            if i in chosen or (check and not far_enough(i)):
+                continue
+            chosen.append(i)
+        if len(chosen) == n_sources:
+            break
+    return [float(i - 180) for i in chosen]

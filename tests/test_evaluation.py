@@ -5,6 +5,7 @@ import pytest
 
 from avdoa import evaluation, nn
 from avdoa.errors import CardinalityMismatch, EmptyDataset
+from helpers import three_pass_decode_doa
 
 
 class TestAngularError:
@@ -93,6 +94,26 @@ class TestDecodeDoa:
         decoded = evaluation.decode_doa(np.ones(360), 4)
         assert len(decoded) == 4
         assert len(set(decoded)) == 4
+
+    def test_matches_three_pass_reference(self):
+        # random, tied, flat and encoded-target maps; every source count and
+        # separations from none to half the circle, where fallback picks occur
+        rng = np.random.default_rng(11)
+        for trial in range(3000):
+            n = int(rng.integers(1, 5))
+            kind = trial % 4
+            if kind == 0:
+                scores = rng.random(360)
+            elif kind == 1:
+                scores = rng.integers(0, 4, size=360) / 3.0
+            elif kind == 2:
+                scores = np.full(360, rng.random())
+            else:
+                scores = nn.encode_target(list(rng.uniform(-180, 180, size=n)),
+                                          sigma_deg=rng.uniform(1.0, 20.0))
+            sep = float(rng.choice([0.0, 1.0, 10.0, 90.0, 180.0, rng.uniform(0, 180)]))
+            assert evaluation.decode_doa(scores, n, sep) == \
+                three_pass_decode_doa(scores, n, sep), (trial, n, sep)
 
 
 class TestMatchSources:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -374,6 +376,35 @@ class TestCheckpoints:
         path2 = tmp_path / "model2.doam"
         nn.save_checkpoint(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    # SHA-256 of the .doam bytes of build_model(kind, (16, 16, 16), 8, seed=3),
+    # fresh and after two seeded epochs.  The trained digests also depend on
+    # the BLAS build's summation order; a change that moves them must say why.
+    GOLDEN = {
+        "gcc_only": ("79d26a567cb7c42c29bf5d9e261e353983f2992a15e9c697a91c5045a3302c2c",
+                     "9825e1349f9e5970f6a20a5b53d401bbf4899ec19b92720d478fd5d0a8a5ff44"),
+        "avc": ("59c44413fbcb3ee0de9bfacc8fe02f9686e05a74549dd462d5cf26dae2704a06",
+                "a0cebd6c8cf2d62ce978c33f314bcd883b28375a6945fcaddcb26d065be3bb3e"),
+        "avaw": ("f3fbca0f2631468db31b5e8ef984a9118a640aca45fbcf888e2da68eb05347e3",
+                 "5ba09c642a2575ab0231f0e6ef244b4135234341454aaea93222dde549eb3131"),
+    }
+
+    @pytest.mark.parametrize("kind", ["gcc_only", "avc", "avaw"])
+    def test_golden_digests(self, tmp_path, kind):
+        model = nn.build_model(kind, hidden=(16, 16, 16), weight_net_hidden=8, seed=3)
+        path = tmp_path / "model.doam"
+        nn.save_checkpoint(model, path)
+        fresh = hashlib.sha256(path.read_bytes()).hexdigest()
+        rng = np.random.default_rng(3)
+        gcc = rng.standard_normal((32, 306))
+        vis = None if kind == "gcc_only" else rng.standard_normal((32, 102))
+        targets = rng.random((32, 360))
+        config = nn.TrainConfig(epochs=2, batch_size=16, hidden=(16, 16, 16),
+                                weight_net_hidden=8, seed=3)
+        nn.train_model(model, gcc, vis, targets, config)
+        nn.save_checkpoint(model, path)
+        trained = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert (fresh, trained) == self.GOLDEN[kind]
 
     def test_wrong_architecture_rejected(self, tmp_path):
         model, _, _ = self._trained_model("avc")
