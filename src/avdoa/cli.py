@@ -29,23 +29,6 @@ META_NAME = "meta.json"
 # config file helpers (key = value text)
 # ---------------------------------------------------------------------------
 
-def _load_config_file(path):
-    if path is None:
-        return {}
-    return dict(read_key_values(path))
-
-
-def _pick(args_value, config, key, cast, default):
-    if args_value is not None:
-        return args_value
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-    return default
-
-
 def _parse_pair(text):
     parts = text.replace(":", ",").split(",")
     if len(parts) != 2:
@@ -74,35 +57,56 @@ def _parse_variances(text):
     return tuple(parts)
 
 
+# (args attribute = dataclass field, config-file key, parser) per command;
+# the defaults live only in ScenarioConfig and TrainConfig
+SIMULATE_KEYS = (
+    ("frames", "frames", int),
+    ("source_counts", "sources", _parse_counts),
+    ("azimuth_range", "azimuth_range", _parse_pair),
+    ("distance_range", "distance_range", _parse_pair),
+    ("z_range", "z_range", _parse_pair),
+    ("visibility", "visibility", float),
+    ("min_separation_deg", "min_separation_deg", float),
+    ("source_kind", "source_kind", str),
+    ("wav_path", "wav_path", str),
+    ("sample_rate", "sample_rate", int),
+    ("frame_len_s", "frame_len_s", float),
+    ("bbox_noise_var", "bbox_noise_var", _parse_variances),
+    ("seed", "seed", int),
+)
+TRAIN_KEYS = (
+    ("epochs", "epochs", int),
+    ("batch_size", "batch_size", int),
+    ("learning_rate", "learning_rate", float),
+    ("hidden", "hidden", _parse_widths),
+    ("weight_net_hidden", "weight_net_hidden", int),
+    ("target_sigma_deg", "target_sigma_deg", float),
+    ("seed", "seed", int),
+)
+
+
+def _configured(args, table):
+    """Config dataclass keyword arguments set by a flag or, failing that, the
+    --config file; a field set by neither keeps the dataclass default."""
+    config_file = {} if args.config is None else dict(read_key_values(args.config))
+    values = {}
+    for field, key, parse in table:
+        if getattr(args, field) is not None:
+            values[field] = parse(getattr(args, field))
+        elif key in config_file:
+            try:
+                values[field] = parse(config_file[key])
+            except ValueError as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from exc
+    return values
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args):
-    config_file = _load_config_file(args.config)
-    config = dataset_mod.ScenarioConfig(
-        frames=_pick(args.frames, config_file, "frames", int, 200),
-        source_counts=_parse_counts(
-            _pick(args.sources, config_file, "sources", str, "1:1.0")),
-        azimuth_range=_parse_pair(
-            _pick(args.azimuth_range, config_file, "azimuth_range", str, "-180,180")),
-        distance_range=_parse_pair(
-            _pick(args.distance_range, config_file, "distance_range", str, "1.5,3.5")),
-        z_range=_parse_pair(
-            _pick(args.z_range, config_file, "z_range", str, "-0.2,0.2")),
-        visibility=_pick(args.visibility, config_file, "visibility", float, 0.5),
-        min_separation_deg=_pick(
-            args.min_separation, config_file, "min_separation_deg", float, 10.0),
-        source_kind=_pick(args.source_kind, config_file, "source_kind", str,
-                          "speech_like_ar"),
-        wav_path=_pick(args.wav, config_file, "wav_path", str, None),
-        sample_rate=_pick(args.sample_rate, config_file, "sample_rate", int, 48000),
-        frame_len_s=_pick(args.frame_len, config_file, "frame_len_s", float,
-                          audio_mod.DEFAULT_FRAME_LEN_S),
-        bbox_noise_var=_parse_variances(
-            _pick(args.bbox_noise_var, config_file, "bbox_noise_var", str, "0")),
-        seed=_pick(args.seed, config_file, "seed", int, 0),
-    )
+    config = dataset_mod.ScenarioConfig(**_configured(args, SIMULATE_KEYS))
     array = None
     if args.array is not None:
         array = geom.load_array_geometry(args.array)
@@ -180,18 +184,7 @@ def _load_features_dir(features_dir, need_visual=True):
 # ---------------------------------------------------------------------------
 
 def cmd_train(args):
-    config_file = _load_config_file(args.config)
-    config = nn.TrainConfig(
-        epochs=_pick(args.epochs, config_file, "epochs", int, 10),
-        batch_size=_pick(args.batch, config_file, "batch_size", int, 256),
-        learning_rate=_pick(args.lr, config_file, "learning_rate", float, 0.001),
-        hidden=_parse_widths(_pick(args.widths, config_file, "hidden", str,
-                                   "1000,1000,1000")),
-        weight_net_hidden=_pick(args.weight_net_hidden, config_file,
-                                "weight_net_hidden", int, 64),
-        target_sigma_deg=_pick(args.sigma, config_file, "target_sigma_deg", float, 8.0),
-        seed=_pick(args.seed, config_file, "seed", int, 0),
-    )
+    config = nn.TrainConfig(**_configured(args, TRAIN_KEYS))
     need_visual = args.model != "gcc_only"
     gcc, vis, azimuths, _ = _load_features_dir(args.features, need_visual)
     targets = np.stack([
@@ -267,22 +260,20 @@ def _print_summary(summary):
                   f"   ({result.frame_count} frames)")
 
 
-def _select_subset(indices_all, holdout, subset):
-    train_rows, test_rows = dataset_mod.split_indices(len(indices_all), holdout)
-    if subset == "train":
-        return train_rows
-    if subset == "holdout":
-        return test_rows if test_rows else train_rows
-    return list(range(len(indices_all)))
+def _select_subset(n_frames, holdout, subset):
+    """Row indices of the chosen subset; ConfigError when it is empty."""
+    train_rows, test_rows = dataset_mod.split_indices(n_frames, holdout)
+    rows = {"train": train_rows, "holdout": test_rows, "all": list(range(n_frames))}[subset]
+    if not rows:
+        raise ConfigError("selected subset is empty")
+    return rows
 
 
 def cmd_eval(args):
     model = nn.load_checkpoint(args.checkpoint)
     need_visual = model.kind != "gcc_only"
     gcc, vis, azimuths, indices = _load_features_dir(args.features, need_visual)
-    rows = _select_subset(indices, args.holdout, args.subset)
-    if not rows:
-        raise ConfigError("selected subset is empty")
+    rows = _select_subset(len(indices), args.holdout, args.subset)
     gcc = gcc[rows]
     vis = None if vis is None else vis[rows]
     azimuths = [azimuths[i] for i in rows]
@@ -301,9 +292,7 @@ def cmd_eval(args):
 
 def cmd_baseline(args):
     ds = dataset_mod.FrameDataset.load(args.dataset)
-    rows = _select_subset(list(range(len(ds))), args.holdout, args.subset)
-    if not rows:
-        raise ConfigError("selected subset is empty")
+    rows = _select_subset(len(ds), args.holdout, args.subset)
     subset = ds.subset(rows)
     gcc, _ = dataset_mod.extract_features(subset, snr_db=args.snr,
                                           seed=args.seed if args.seed is not None else 0)
@@ -414,9 +403,7 @@ def render_svg_chart(grid, path, width=640, height=420):
 def cmd_robustness(args):
     model = nn.load_checkpoint(args.checkpoint)
     ds = dataset_mod.FrameDataset.load(args.dataset)
-    rows = _select_subset(list(range(len(ds))), args.holdout, args.subset)
-    if not rows:
-        raise ConfigError("selected subset is empty")
+    rows = _select_subset(len(ds), args.holdout, args.subset)
     subset = ds.subset(rows)
     grid = evaluation.robustness_grid(
         model, subset,
@@ -454,20 +441,22 @@ def build_parser():
     p = sub.add_parser("simulate", parents=[common],
                        help="generate a synthetic dataset directory")
     p.add_argument("--frames", type=int, default=None)
-    p.add_argument("--sources", default=None,
+    p.add_argument("--sources", dest="source_counts", default=None,
                    help="source-count distribution, e.g. '1:0.7,2:0.3'")
     p.add_argument("--azimuth-range", default=None, help="degrees, 'low,high'")
     p.add_argument("--distance-range", default=None, help="meters, 'low,high'")
     p.add_argument("--z-range", default=None, help="meters, 'low,high'")
     p.add_argument("--visibility", type=float, default=None,
                    help="fraction of sources inside the camera FoV")
-    p.add_argument("--min-separation", type=float, default=None,
+    p.add_argument("--min-separation", dest="min_separation_deg", type=float, default=None,
                    help="minimum azimuth separation between concurrent sources")
     p.add_argument("--source-kind", default=None,
                    choices=["white", "speech_like_ar", "wav_file"])
-    p.add_argument("--wav", default=None, help="source WAV for --source-kind wav_file")
+    p.add_argument("--wav", dest="wav_path", default=None,
+                   help="source WAV for --source-kind wav_file")
     p.add_argument("--sample-rate", type=int, default=None)
-    p.add_argument("--frame-len", type=float, default=None, help="seconds")
+    p.add_argument("--frame-len", dest="frame_len_s", type=float, default=None,
+                   help="seconds")
     p.add_argument("--bbox-noise-var", default=None,
                    help="3D annotation noise variance (m^2), one or three values")
     p.add_argument("--array", default=None, help="array geometry file to use")
@@ -487,11 +476,13 @@ def build_parser():
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True, choices=["avc", "avaw", "gcc_only"])
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--widths", default=None, help="hidden widths, e.g. '1000,1000,1000'")
+    p.add_argument("--batch", dest="batch_size", type=int, default=None)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
+    p.add_argument("--widths", dest="hidden", default=None,
+                   help="hidden widths, e.g. '1000,1000,1000'")
     p.add_argument("--weight-net-hidden", type=int, default=None)
-    p.add_argument("--sigma", type=float, default=None, help="target smoothing (deg)")
+    p.add_argument("--sigma", dest="target_sigma_deg", type=float, default=None,
+                   help="target smoothing (deg)")
     p.add_argument("--holdout", type=float, default=0.2,
                    help="trailing fraction of frames excluded from training")
     p.set_defaults(func=cmd_train)

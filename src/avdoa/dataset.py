@@ -23,7 +23,7 @@ import numpy as np
 from . import audio as audio_mod
 from . import geom, visual
 from .errors import ConfigError, EmptyDataset
-from .nn import encode_target
+from .nn import TrainConfig, encode_target
 
 MANIFEST_NAME = "manifest.jsonl"
 _IN_FOV_TRIES = 1000
@@ -363,7 +363,7 @@ def feature_matrices(gcc, vis):
     return gcc.reshape(len(gcc), -1), vis.reshape(len(vis), -1)
 
 
-def build_targets(frames, sigma_deg=8.0):
+def build_targets(frames, sigma_deg=TrainConfig.target_sigma_deg):
     """Stack soft azimuth targets for a list of frame records."""
     return np.stack([encode_target(f.azimuths, sigma_deg) for f in frames])
 

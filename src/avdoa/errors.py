@@ -63,6 +63,10 @@ class VersionMismatch(AvdoaError):
     """A binary file has an unsupported format version."""
 
 
+class TruncatedFile(AvdoaError):
+    """A binary file ends before the data its header describes."""
+
+
 # evaluation / datasets
 
 class CardinalityMismatch(AvdoaError):

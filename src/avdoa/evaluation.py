@@ -31,42 +31,33 @@ def angular_error(a, b):
 def decode_doa(scores, n_sources, min_separation_deg=NMS_RADIUS_DEG):
     """Pick ``n_sources`` azimuths from a 360-bin score vector.
 
-    Bin i maps to azimuth i - 180.  Circular local maxima are taken in
-    decreasing score order (ties to the lower index) while suppressing
-    candidates within ``min_separation_deg`` of an accepted peak.  If the
-    local maxima run out, the highest remaining bins are used (suppression
-    still applies, then unconditionally), so exactly n azimuths return.
+    Bin i maps to azimuth i - 180.  One greedy pick per source: bins are
+    visited with circular local maxima first, each group in decreasing
+    score order (ties to the lower index), and the first bin not yet taken
+    nor within ``min_separation_deg`` of an accepted pick is accepted.
+    When every bin is taken or suppressed, the highest untaken bin is used,
+    so exactly n azimuths return.
     """
     scores = np.asarray(scores, dtype=float).reshape(-1)
     n_bins = scores.size
     if not 1 <= n_sources <= _MAX_SOURCES:
         raise ValueError(f"n_sources must be in 1..{_MAX_SOURCES}")
+    bins = np.arange(n_bins)
     is_peak = (scores >= np.roll(scores, 1)) & (scores >= np.roll(scores, -1))
-
-    def ordered(indices):
-        return sorted(indices, key=lambda i: (-scores[i], i))
-
+    order = np.lexsort((bins, -scores, ~is_peak))
+    blocked = np.zeros(n_bins, dtype=bool)   # taken or suppressed
     chosen = []
-
-    def far_enough(i):
-        return all(
-            min(abs(i - j), n_bins - abs(i - j)) * (360.0 / n_bins) >= min_separation_deg
-            for j in chosen
-        )
-
-    for candidates, check in (
-        (ordered(np.flatnonzero(is_peak)), True),
-        (ordered(range(n_bins)), True),
-        (ordered(range(n_bins)), False),
-    ):
-        for i in candidates:
-            if len(chosen) == n_sources:
-                break
-            if i in chosen or (check and not far_enough(i)):
-                continue
-            chosen.append(i)
-        if len(chosen) == n_sources:
-            break
+    for _ in range(min(n_sources, n_bins)):
+        free = order[~blocked[order]]
+        if free.size:
+            pick = free[0]
+        else:
+            untaken = np.setdiff1d(bins, chosen)
+            pick = untaken[np.argmax(scores[untaken])]
+        chosen.append(pick)
+        gap = np.abs(bins - pick)
+        blocked |= np.minimum(gap, n_bins - gap) * (360.0 / n_bins) < min_separation_deg
+        blocked[pick] = True
     return [float(i - 180) for i in chosen]
 
 
@@ -170,8 +161,7 @@ def robustness_grid(model, dataset, snr_levels=SNR_LEVELS_DB, fdsp_levels=FDSP_L
                 dataset, snr_db=snr, fdsp=fdsp, seed=[seed, i, j],
             )
             gcc_mat, vis_mat = feature_matrices(gcc, vis)
-            vis_in = None if model.kind == "gcc_only" else vis_mat
-            posterior = model.forward(gcc_mat, vis_in, train=False)
+            posterior = model.forward(gcc_mat, vis_mat, train=False)
             preds = [
                 decode_doa(posterior[k], len(frame.azimuths))
                 for k, frame in enumerate(dataset.frames)

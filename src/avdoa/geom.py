@@ -57,10 +57,6 @@ class CameraCalibration:
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image dimensions must be positive")
 
-    def half_fov_u_deg(self):
-        """Horizontal half field of view implied by the principal point."""
-        return np.degrees(np.arctan(min(self.c_u, self.width - self.c_u) / self.f_u))
-
 
 @dataclass(frozen=True)
 class FaceSize:
@@ -127,10 +123,6 @@ class MicArray:
         """Unordered mic pairs (l < p) in lexicographic order."""
         n = self.n_mics
         return [(l, p) for l in range(n) for p in range(l + 1, n)]
-
-    def max_pair_distance(self):
-        d = self.positions[:, None, :] - self.positions[None, :, :]
-        return float(np.linalg.norm(d, axis=-1).max())
 
     @classmethod
     def square(cls, side=0.1, **kwargs):

@@ -2,16 +2,16 @@
 
 Everything runs in float64 numpy with hand-written analytic gradients so
 training is deterministic and every layer can be checked against finite
-differences.  Two fusion architectures share the same trunk (MLP3, three
-Dense -> BatchNorm -> ReLU blocks followed by a sigmoid output layer over
-360 one-degree azimuth classes):
+differences.  One model class, ``DoaModel``, serves all three networks.
+They share the trunk (MLP3, three Dense -> BatchNorm -> ReLU blocks
+followed by a sigmoid output layer over 360 one-degree azimuth classes)
+and differ only in the input stage named by ``kind``:
 
-  * concatenation: audio and visual features are concatenated directly
-  * adaptive weighting: a small two-layer net predicts three softmax
-    weights (audio, image-horizontal, image-vertical) per sample, scales
-    the corresponding feature blocks, then feeds the trunk
-
-plus an audio-only variant that feeds the trunk from GCC features alone.
+  * "gcc_only": GCC features alone (audio-only)
+  * "avc": audio and visual features concatenated directly
+  * "avaw" (adaptive weighting): a small two-layer net predicts three
+    softmax weights (audio, image-horizontal, image-vertical) per sample,
+    scales the corresponding feature blocks, then feeds the trunk
 """
 
 import struct
@@ -25,6 +25,7 @@ from .errors import (
     EmptyDataset,
     NaNLoss,
     ShapeMismatch,
+    TruncatedFile,
     VersionMismatch,
 )
 from .geom import wrap_degrees
@@ -32,6 +33,25 @@ from .geom import wrap_degrees
 N_CLASSES = 360
 GCC_DIM = 306       # 6 pairs x 51 lags
 VIS_DIM = 102       # 2 axes x 51 grid points
+
+
+# The paper's training settings; Adam, encode_target and build_model default to them.
+@dataclass
+class TrainConfig:
+    epochs: int = 10
+    batch_size: int = 256
+    learning_rate: float = 0.001
+    beta1: float = 0.9
+    beta2: float = 0.999
+    adam_eps: float = 1e-8
+    hidden: tuple = (1000, 1000, 1000)
+    weight_net_hidden: int = 64
+    target_sigma_deg: float = 8.0
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 2 or self.learning_rate <= 0:
+            raise ValueError("epochs >= 1, batch_size >= 2 and learning_rate > 0 required")
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +184,8 @@ class BatchNorm:
 class Adam:
     """Adam with bias correction; state (m, v, t) lives on the optimizer."""
 
-    def __init__(self, learning_rate=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, learning_rate=TrainConfig.learning_rate, beta1=TrainConfig.beta1,
+                 beta2=TrainConfig.beta2, eps=TrainConfig.adam_eps):
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
@@ -195,7 +216,8 @@ class Adam:
 # target encoding
 # ---------------------------------------------------------------------------
 
-def encode_target(azimuths_deg, sigma_deg=8.0, n_classes=N_CLASSES):
+def encode_target(azimuths_deg, sigma_deg=TrainConfig.target_sigma_deg,
+                  n_classes=N_CLASSES):
     """Soft 360-class label: Gaussian of circular distance, max over sources.
 
     Class i covers azimuth i - 180 degrees.  A source exactly on a grid
@@ -262,195 +284,109 @@ class Mlp3:
         return out
 
 
-class GccOnlyModel:
-    """Audio-only trunk: GCC features straight into MLP3."""
+class DoaModel:
+    """MLP3 trunk behind the input stage named by ``kind`` (gcc_only, avc or avaw).
 
-    kind = "gcc_only"
+    The avaw weight net draws from ``rng`` before the trunk, so checkpoints
+    and seeded runs keep their bytes; its latest softmax weights are kept
+    on ``last_weights``.
+    """
 
-    def __init__(self, hidden=(1000, 1000, 1000), gcc_dim=GCC_DIM, out_dim=N_CLASSES,
-                 rng=None):
-        rng = np.random.default_rng(rng)
-        self.gcc_dim = gcc_dim
-        self.vis_dim = 0
-        self.hidden = tuple(hidden)
-        self.out_dim = out_dim
-        self.weight_net_hidden = 0
-        self.core = Mlp3(gcc_dim, hidden, out_dim, rng)
-
-    def forward(self, gcc, vis=None, train=False):
-        if gcc.ndim != 2 or gcc.shape[1] != self.gcc_dim:
-            raise ShapeMismatch(f"expected (batch, {self.gcc_dim}) GCC input, got {gcc.shape}")
-        return self.core.forward(gcc, train)
-
-    def backward(self, dy):
-        return self.core.backward(dy)
-
-    def parameters(self):
-        return self.core.parameters()
-
-    def gradients(self):
-        return self.core.gradients()
-
-    def bn_stats(self):
-        return self.core.bn_stats()
-
-
-class AvcModel:
-    """Early fusion: concatenated audio and visual features into MLP3."""
-
-    kind = "avc"
-
-    def __init__(self, hidden=(1000, 1000, 1000), gcc_dim=GCC_DIM, vis_dim=VIS_DIM,
+    def __init__(self, kind, hidden, weight_net_hidden, gcc_dim=GCC_DIM, vis_dim=VIS_DIM,
                  out_dim=N_CLASSES, rng=None):
+        if kind not in _ARCH_TAGS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        if kind == "gcc_only":
+            vis_dim = 0
+        if kind != "avaw":
+            weight_net_hidden = 0
+        elif vis_dim % 2:
+            raise ValueError("visual dim must split into two equal axis blocks")
         rng = np.random.default_rng(rng)
+        self.kind = kind
         self.gcc_dim = gcc_dim
         self.vis_dim = vis_dim
         self.hidden = tuple(hidden)
         self.out_dim = out_dim
-        self.weight_net_hidden = 0
+        self.weight_net_hidden = weight_net_hidden
+        self.wn1 = self.wn2 = self.last_weights = None
+        if kind == "avaw":
+            self.wn1 = Dense(gcc_dim + vis_dim, weight_net_hidden, rng)
+            self.wn2 = Dense(weight_net_hidden, 3, rng)
         self.core = Mlp3(gcc_dim + vis_dim, hidden, out_dim, rng)
 
     def _check(self, gcc, vis):
         if gcc.ndim != 2 or gcc.shape[1] != self.gcc_dim:
             raise ShapeMismatch(f"expected (batch, {self.gcc_dim}) GCC input, got {gcc.shape}")
+        if self.kind == "gcc_only":
+            return
         if vis is None or vis.ndim != 2 or vis.shape[1] != self.vis_dim:
             shape = None if vis is None else vis.shape
             raise ShapeMismatch(f"expected (batch, {self.vis_dim}) visual input, got {shape}")
         if vis.shape[0] != gcc.shape[0]:
             raise ShapeMismatch("audio and visual batches differ in size")
 
-    def forward(self, gcc, vis, train=False):
-        self._check(gcc, vis)
-        return self.core.forward(np.concatenate([gcc, vis], axis=1), train)
-
-    def backward(self, dy):
-        return self.core.backward(dy)
-
-    def parameters(self):
-        return self.core.parameters()
-
-    def gradients(self):
-        return self.core.gradients()
-
-    def bn_stats(self):
-        return self.core.bn_stats()
-
-
-class AvawModel:
-    """Adaptive weighting: per-sample softmax weights scale the three
-    feature blocks (audio, image-horizontal, image-vertical) before the
-    shared trunk.  The latest weights are kept on ``last_weights``.
-    """
-
-    kind = "avaw"
-
-    def __init__(self, hidden=(1000, 1000, 1000), weight_net_hidden=64,
-                 gcc_dim=GCC_DIM, vis_dim=VIS_DIM, out_dim=N_CLASSES, rng=None):
-        if vis_dim % 2:
-            raise ValueError("visual dim must split into two equal axis blocks")
-        rng = np.random.default_rng(rng)
-        self.gcc_dim = gcc_dim
-        self.vis_dim = vis_dim
-        self.hidden = tuple(hidden)
-        self.out_dim = out_dim
-        self.weight_net_hidden = weight_net_hidden
-        self.wn1 = Dense(gcc_dim + vis_dim, weight_net_hidden, rng)
-        self.wn2 = Dense(weight_net_hidden, 3, rng)
-        self.core = Mlp3(gcc_dim + vis_dim, hidden, out_dim, rng)
-        self.last_weights = None
-
-    _check = AvcModel._check
-
     def adaptive_weights(self, gcc, vis):
         """Softmax-normalized (audio, horizontal, vertical) weights, (B, 3)."""
         self._check(gcc, vis)
-        z = np.concatenate([gcc, vis], axis=1)
-        return softmax(self.wn2.forward(relu(self.wn1.forward(z))))
+        self._wn_pre = self.wn1.forward(np.concatenate([gcc, vis], axis=1))
+        return softmax(self.wn2.forward(relu(self._wn_pre)))
 
-    def forward(self, gcc, vis, train=False):
-        self._check(gcc, vis)
+    def _blocks(self, gcc, vis):
+        """The audio, horizontal and vertical feature blocks."""
         half = self.vis_dim // 2
-        z = np.concatenate([gcc, vis], axis=1)
-        wn_pre = self.wn1.forward(z)
-        logits = self.wn2.forward(relu(wn_pre))
-        weights = softmax(logits)
-        self._cache = (gcc, vis, wn_pre, weights)
-        self.last_weights = weights
-        scaled = np.concatenate(
-            [
-                gcc * weights[:, 0:1],
-                vis[:, :half] * weights[:, 1:2],
-                vis[:, half:] * weights[:, 2:3],
-            ],
-            axis=1,
-        )
-        return self.core.forward(scaled, train)
+        return [gcc, vis[:, :half], vis[:, half:]]
+
+    def forward(self, gcc, vis=None, train=False):
+        self._check(gcc, vis)
+        if self.kind == "gcc_only":
+            return self.core.forward(gcc, train)
+        if self.kind == "avc":
+            return self.core.forward(np.concatenate([gcc, vis], axis=1), train)
+        weights = self.last_weights = self.adaptive_weights(gcc, vis)
+        self._inputs = (gcc, vis)
+        scaled = [block * weights[:, k:k + 1]
+                  for k, block in enumerate(self._blocks(gcc, vis))]
+        return self.core.forward(np.concatenate(scaled, axis=1), train)
 
     def backward(self, dy):
-        gcc, vis, wn_pre, weights = self._cache
-        half = self.vis_dim // 2
-        dscaled = self.core.backward(dy)
-        d_audio = dscaled[:, :self.gcc_dim]
-        d_u = dscaled[:, self.gcc_dim:self.gcc_dim + half]
-        d_v = dscaled[:, self.gcc_dim + half:]
-        dweights = np.stack(
-            [
-                (d_audio * gcc).sum(axis=1),
-                (d_u * vis[:, :half]).sum(axis=1),
-                (d_v * vis[:, half:]).sum(axis=1),
-            ],
-            axis=1,
-        )
-        dlogits = softmax_backward(dweights, weights)
-        dh = relu_backward(self.wn2.backward(dlogits), wn_pre)
-        self.wn1.backward(dh)
+        dz = self.core.backward(dy)
+        if self.kind == "avaw":
+            d_blocks = self._blocks(dz[:, :self.gcc_dim], dz[:, self.gcc_dim:])
+            dweights = np.stack(
+                [(d * x).sum(axis=1) for d, x in zip(d_blocks, self._blocks(*self._inputs))],
+                axis=1,
+            )
+            dlogits = softmax_backward(dweights, self.last_weights)
+            self.wn1.backward(relu_backward(self.wn2.backward(dlogits), self._wn_pre))
 
     def parameters(self):
-        return [self.wn1.weight, self.wn1.bias, self.wn2.weight, self.wn2.bias] \
-            + self.core.parameters()
+        out = []
+        if self.kind == "avaw":
+            out += [self.wn1.weight, self.wn1.bias, self.wn2.weight, self.wn2.bias]
+        return out + self.core.parameters()
 
     def gradients(self):
-        return [self.wn1.grad_weight, self.wn1.grad_bias,
-                self.wn2.grad_weight, self.wn2.grad_bias] + self.core.gradients()
+        out = []
+        if self.kind == "avaw":
+            out += [self.wn1.grad_weight, self.wn1.grad_bias,
+                    self.wn2.grad_weight, self.wn2.grad_bias]
+        return out + self.core.gradients()
 
     def bn_stats(self):
         return self.core.bn_stats()
 
 
-_MODEL_CLASSES = {"gcc_only": GccOnlyModel, "avc": AvcModel, "avaw": AvawModel}
-
-
-def build_model(kind, hidden=(1000, 1000, 1000), weight_net_hidden=64, seed=0):
+def build_model(kind, hidden=TrainConfig.hidden,
+                weight_net_hidden=TrainConfig.weight_net_hidden, seed=0):
     """Construct a model with seeded initialization (init rng = [seed, 0])."""
-    if kind not in _MODEL_CLASSES:
-        raise ValueError(f"unknown model kind {kind!r}")
-    rng = np.random.default_rng([seed, 0])
-    if kind == "avaw":
-        return AvawModel(hidden=hidden, weight_net_hidden=weight_net_hidden, rng=rng)
-    return _MODEL_CLASSES[kind](hidden=hidden, rng=rng)
+    return DoaModel(kind, hidden=hidden, weight_net_hidden=weight_net_hidden,
+                    rng=np.random.default_rng([seed, 0]))
 
 
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TrainConfig:
-    epochs: int = 10
-    batch_size: int = 256
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    hidden: tuple = (1000, 1000, 1000)
-    weight_net_hidden: int = 64
-    target_sigma_deg: float = 8.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 2 or self.learning_rate <= 0:
-            raise ValueError("epochs >= 1, batch_size >= 2 and learning_rate > 0 required")
-
 
 def train_model(model, gcc, vis, targets, config):
     """MSE training loop with seeded shuffling and Adam updates.
@@ -540,14 +476,20 @@ def save_checkpoint(model, path):
 
 
 class _Reader:
-    def __init__(self, data):
+    def __init__(self, data, path):
         self.data = data
+        self.path = path
         self.pos = 0
 
-    def take(self, fmt):
-        size = struct.calcsize(fmt)
-        values = struct.unpack_from(fmt, self.data, self.pos)
+    def _advance(self, size):
+        if self.pos + size > len(self.data):
+            raise TruncatedFile(f"{self.path}: file ends before byte {self.pos + size}")
+        start = self.pos
         self.pos += size
+        return start
+
+    def take(self, fmt):
+        values = struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt)))
         return values if len(values) > 1 else values[0]
 
     def block_table(self):
@@ -560,8 +502,8 @@ class _Reader:
 
     def f64(self, shape):
         count = int(np.prod(shape))
-        arr = np.frombuffer(self.data, dtype="<f8", count=count, offset=self.pos)
-        self.pos += count * 8
+        arr = np.frombuffer(self.data, dtype="<f8", count=count,
+                            offset=self._advance(count * 8))
         return arr.reshape(shape).astype(np.float64)
 
 
@@ -574,7 +516,7 @@ def load_checkpoint(path, model=None):
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    reader = _Reader(data)
+    reader = _Reader(data, path)
     if data[:4] != _MAGIC:
         raise BadMagic(f"{path}: not a checkpoint file")
     reader.pos = 4
@@ -593,16 +535,8 @@ def load_checkpoint(path, model=None):
     param_shapes = reader.block_table()
     stat_shapes = reader.block_table()
     if model is None:
-        if kind == "gcc_only":
-            model = GccOnlyModel(hidden=hidden, gcc_dim=gcc_dim, out_dim=out_dim,
-                                 rng=np.random.default_rng(0))
-        elif kind == "avc":
-            model = AvcModel(hidden=hidden, gcc_dim=gcc_dim, vis_dim=vis_dim,
-                             out_dim=out_dim, rng=np.random.default_rng(0))
-        else:
-            model = AvawModel(hidden=hidden, weight_net_hidden=weight_net_hidden,
-                              gcc_dim=gcc_dim, vis_dim=vis_dim, out_dim=out_dim,
-                              rng=np.random.default_rng(0))
+        model = DoaModel(kind, hidden=hidden, weight_net_hidden=weight_net_hidden,
+                         gcc_dim=gcc_dim, vis_dim=vis_dim, out_dim=out_dim, rng=0)
     elif model.kind != kind:
         raise ShapeMismatch(f"{path}: checkpoint is {kind!r}, model is {model.kind!r}")
     params = model.parameters()

@@ -27,18 +27,13 @@ class DetectionFrame:
         object.__setattr__(self, "boxes", tuple(self.boxes))
 
 
-def bbox_center(box):
-    """Center pixel of a detection box: (u + w/2, v + h/2)."""
-    return np.array(box.center)
-
-
 def _axis_track(grid, centers, sigmas):
     gauss = np.exp(-((grid[None, :] - centers[:, None]) ** 2)
                    / (2.0 * sigmas[:, None] ** 2))
     return gauss.max(axis=0)
 
 
-def encode_visual(frame, image_w, image_h, length=FEATURE_LENGTH, uniform_value=None):
+def encode_visual(frame, image_w, image_h, length=FEATURE_LENGTH):
     """Encode a frame's detections as a (2, length) feature.
 
     Row 0 samples the horizontal axis at ``length`` points spanning
@@ -50,10 +45,8 @@ def encode_visual(frame, image_w, image_h, length=FEATURE_LENGTH, uniform_value=
         raise ValueError("image dimensions must be positive")
     if length < 2:
         raise ValueError("feature length must be at least 2")
-    if uniform_value is None:
-        uniform_value = 1.0 / length
     if not frame.boxes:
-        return np.full((2, length), uniform_value)
+        return np.full((2, length), 1.0 / length)
     centers = np.array([box.center for box in frame.boxes])
     widths = np.array([box.w for box in frame.boxes])
     heights = np.array([box.h for box in frame.boxes])
@@ -65,30 +58,22 @@ def encode_visual(frame, image_w, image_h, length=FEATURE_LENGTH, uniform_value=
     ])
 
 
-def swap_detections(frames, fdsp, seed=None, mode="exact"):
+def swap_detections(frames, fdsp, seed=None):
     """Exchange detection sets between random frame pairs.
 
-    ``fdsp`` is the fraction of frames whose detections get swapped away.
-    In "exact" mode ceil(fdsp * F) distinct frames are selected and paired
-    at random; an odd leftover swaps with a random non-selected frame (or
-    stays put when every frame was selected).  "bernoulli" picks each frame
-    independently with probability fdsp instead of an exact count.  The
-    multiset of detection sets over all frames is preserved; the input list
-    is not modified.  Deterministic for a fixed seed.
+    ``fdsp`` is the fraction of frames whose detections get swapped away:
+    ceil(fdsp * F) distinct frames are selected and paired at random; an
+    odd leftover swaps with a random non-selected frame (or stays put when
+    every frame was selected).  The multiset of detection sets over all
+    frames is preserved; the input list is not modified.  Deterministic
+    for a fixed seed.
     """
     if not 0.0 <= fdsp <= 1.0:
         raise ValueError("fdsp must be in [0, 1]")
-    if mode not in ("exact", "bernoulli"):
-        raise ValueError(f"unknown mode {mode!r}")
     frames = list(frames)
     n = len(frames)
     rng = np.random.default_rng(seed)
-    if mode == "exact":
-        count = int(np.ceil(fdsp * n))
-        selected = rng.permutation(n)[:count]
-    else:
-        selected = np.flatnonzero(rng.random(n) < fdsp)
-        selected = rng.permutation(selected)
+    selected = rng.permutation(n)[:int(np.ceil(fdsp * n))]
     boxes = [frame.boxes for frame in frames]
     for i in range(0, len(selected) - 1, 2):
         a, b = selected[i], selected[i + 1]

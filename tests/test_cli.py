@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from avdoa import cli
 from avdoa.cli import main
+from avdoa.errors import ConfigError
 
 
 def sha256(path):
@@ -54,6 +56,45 @@ class TestSimulate:
         assert run("simulate", "--out", out, "--config", cfg, "--seed", 1) == 0
         lines = (out / "manifest.jsonl").read_text().strip().splitlines()
         assert len(lines) == 13   # header + 12 records
+
+
+class TestConfigTables:
+    def _values(self, tmp_path, table, argv, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        args = cli.build_parser().parse_args([*argv, "--out", "x", "--config", str(cfg)])
+        return cli._configured(args, table)
+
+    def test_simulate_keys_and_precedence(self, tmp_path):
+        values = self._values(
+            tmp_path, cli.SIMULATE_KEYS, ["simulate", "--frames", "5", "--wav", "a.wav"],
+            "frames = 12\nsources = 1:0.5,2:0.5\nazimuth_range = -90,90\n"
+            "bbox_noise_var = 0.1\nwav_path = b.wav\nseed = 4\n",
+        )
+        assert values == {"frames": 5, "source_counts": {1: 0.5, 2: 0.5},
+                          "azimuth_range": (-90.0, 90.0),
+                          "bbox_noise_var": (0.1, 0.1, 0.1), "wav_path": "a.wav",
+                          "seed": 4}
+
+    def test_train_keys_and_precedence(self, tmp_path):
+        values = self._values(
+            tmp_path, cli.TRAIN_KEYS,
+            ["train", "--features", "f", "--model", "avc", "--lr", "0.01"],
+            "learning_rate = 0.5\nhidden = 8,4\nbatch_size = 32\n",
+        )
+        assert values == {"learning_rate": 0.01, "hidden": (8, 4), "batch_size": 32}
+
+    def test_unset_fields_keep_dataclass_defaults(self, tmp_path):
+        assert self._values(tmp_path, cli.SIMULATE_KEYS, ["simulate"], "") == {}
+
+    def test_bad_value_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError):
+            self._values(tmp_path, cli.TRAIN_KEYS,
+                         ["train", "--features", "f", "--model", "avc"], "epochs = ten\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("frames = many\n")
+        assert run("simulate", "--out", tmp_path / "ds", "--config", cfg) == 2
+        assert not (tmp_path / "ds").exists()
 
 
 class TestFeatures:
@@ -169,6 +210,20 @@ class TestEvalCommand:
         assert run("eval", "--checkpoint", ckpt, "--features", feats, "--out", a) == 0
         assert run("eval", "--checkpoint", ckpt, "--features", feats, "--out", b) == 0
         assert (a / "summary.csv").read_text() == (b / "summary.csv").read_text()
+
+    def test_empty_holdout_exits_2(self, pipeline, tmp_path):
+        _, _, feats, ckpt = pipeline
+        out = tmp_path / "eval"
+        assert run("eval", "--checkpoint", ckpt, "--features", feats,
+                   "--holdout", 0, "--subset", "holdout", "--out", out) == 2
+        assert not (out / "results.jsonl").exists()
+
+    def test_truncated_checkpoint_exits_2(self, pipeline, tmp_path):
+        _, _, feats, ckpt = pipeline
+        cut = tmp_path / "cut.doam"
+        cut.write_bytes(ckpt.read_bytes()[:10])
+        assert run("eval", "--checkpoint", cut, "--features", feats,
+                   "--out", tmp_path / "o") == 2
 
     def test_wrong_checkpoint_path_exits_4(self, pipeline, tmp_path):
         _, _, feats, _ = pipeline

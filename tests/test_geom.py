@@ -90,6 +90,16 @@ class TestProjectPoint:
                 assert np.allclose(geom.project_point([0, 0, z], cal), [320, 240])
 
 
+class TestBoundingBox:
+    @pytest.mark.parametrize("box,expected", [
+        ((10, 20, 30, 40), (25, 40)),
+        ((0, 0, 2, 2), (1, 1)),
+        ((0, 0, 0.1, 0.1), (0.05, 0.05)),
+    ])
+    def test_center(self, box, expected):
+        assert geom.BoundingBox(*box).center == pytest.approx(expected)
+
+
 class TestSynthesizeBbox:
     def test_on_axis_box_size(self):
         # face 0.14 x 0.18 m at 2 m with f=500: w = 500*0.14/2, h = 500*0.18/2

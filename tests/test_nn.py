@@ -5,6 +5,7 @@ import pytest
 
 from avdoa import nn
 from avdoa.errors import (
+    AvdoaError,
     BadMagic,
     BatchTooSmall,
     EmptyDataset,
@@ -419,6 +420,17 @@ class TestCheckpoints:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(BadMagic):
             nn.load_checkpoint(path)
+
+    def test_every_truncation_is_typed(self, tmp_path):
+        model = nn.DoaModel("avaw", hidden=(3, 2), weight_net_hidden=2, gcc_dim=4,
+                            vis_dim=2, out_dim=5, rng=0)
+        path = tmp_path / "model.doam"
+        nn.save_checkpoint(model, path)
+        data = path.read_bytes()
+        for size in range(len(data)):
+            path.write_bytes(data[:size])
+            with pytest.raises(AvdoaError):
+                nn.load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
         model, _, _ = self._trained_model("gcc_only")

@@ -16,16 +16,6 @@ def _box_multiset(frames):
     )
 
 
-class TestBboxCenter:
-    @pytest.mark.parametrize("box,expected", [
-        ((10, 20, 30, 40), (25, 40)),
-        ((0, 0, 2, 2), (1, 1)),
-        ((0, 0, 0.1, 0.1), (0.05, 0.05)),
-    ])
-    def test_examples(self, box, expected):
-        assert visual.bbox_center(BoundingBox(*box)) == pytest.approx(expected)
-
-
 class TestEncodeVisual:
     def test_centered_box_peaks_at_middle_bin(self):
         # 640x480, box (288,216,64,48): center (320,240) = image center
@@ -143,12 +133,6 @@ class TestSwapDetections:
         a = visual.swap_detections(frames, 0.3, seed=5)
         b = visual.swap_detections(frames, 0.3, seed=5)
         assert all(x.boxes == y.boxes for x, y in zip(a, b))
-
-    def test_bernoulli_mode(self):
-        rng = np.random.default_rng(5)
-        frames = self._frames(500, rng)
-        swapped = visual.swap_detections(frames, 0.5, seed=6, mode="bernoulli")
-        assert _box_multiset(frames) == _box_multiset(swapped)
 
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
