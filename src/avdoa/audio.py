@@ -79,7 +79,7 @@ class MultichannelAudio:
 class GccFeature:
     """Per-pair GCC-PHAT values, one row per mic pair (l < p, lexicographic)."""
 
-    values: np.ndarray       # (n_pairs, n_lags)
+    values: np.ndarray       # (n_pairs, n_lags), or a (frames, n_pairs, n_lags) stack
     lag_min: int
     lag_max: int
     sample_rate: int
@@ -87,7 +87,7 @@ class GccFeature:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if v.shape[1] != self.lag_max - self.lag_min + 1:
+        if v.shape[-1] != self.lag_max - self.lag_min + 1:
             raise ValueError("lag axis inconsistent with lag range")
 
 
@@ -186,26 +186,6 @@ def add_noise_at_snr(audio, snr_db, seed=None):
     return MultichannelAudio(audio.samples + noise, audio.sample_rate)
 
 
-def frame_signal(audio, frame_len_s=DEFAULT_FRAME_LEN_S, hop_s=None):
-    """Split a multichannel signal into frames (non-overlapping by default).
-
-    The trailing partial frame is dropped.  Raises TooShort when the signal
-    is shorter than one frame.
-    """
-    frame = int(round(frame_len_s * audio.sample_rate))
-    hop = frame if hop_s is None else int(round(hop_s * audio.sample_rate))
-    if frame <= 0 or hop <= 0:
-        raise ValueError("frame and hop must be positive")
-    if audio.n_samples < frame:
-        raise TooShort(f"signal of {audio.n_samples} samples < frame of {frame}")
-    count = (audio.n_samples - frame) // hop + 1
-    return [
-        MultichannelAudio(audio.samples[:, i * hop:i * hop + frame].copy(),
-                          audio.sample_rate)
-        for i in range(count)
-    ]
-
-
 def _whitened_cross_spectrum(spec_l, spec_p):
     """PHAT-whitened cross spectrum with near-zero bins zeroed out.
 
@@ -293,9 +273,10 @@ def srp_phat(feature, array):
     """Steered response power map over integer azimuths -180..179 degrees.
 
     For each candidate azimuth, sums the per-pair GCC values at the lags
-    that azimuth predicts, linearly interpolated between integer lags.
+    that azimuth predicts, linearly interpolated between integer lags.  A
+    (frames, pairs, lags) stack gives one map per frame, (frames, 360).
     """
-    if feature.values.shape[0] != len(array.pairs()):
+    if feature.values.shape[-2] != len(array.pairs()):
         raise ValueError("feature pair count does not match the array")
     azimuths = np.arange(-180, 180, dtype=float)
     lags = pair_lag_for_azimuth(array, feature.sample_rate, azimuths)  # (P, 360)
@@ -308,10 +289,11 @@ def srp_phat(feature, array):
     lo = np.floor(lags).astype(int)
     frac = lags - lo
     lo_idx = lo - feature.lag_min
-    hi_idx = np.minimum(lo_idx + 1, feature.values.shape[1] - 1)
-    rows = np.arange(feature.values.shape[0])[:, None]
-    values = (1.0 - frac) * feature.values[rows, lo_idx] + frac * feature.values[rows, hi_idx]
-    return values.sum(axis=0)
+    hi_idx = np.minimum(lo_idx + 1, feature.values.shape[-1] - 1)
+    rows = np.arange(feature.values.shape[-2])[:, None]
+    values = ((1.0 - frac) * feature.values[..., rows, lo_idx]
+              + frac * feature.values[..., rows, hi_idx])
+    return values.sum(axis=-2)
 
 
 def decode_srp(srp_map, n_sources, min_separation_deg=10.0):

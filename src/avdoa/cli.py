@@ -216,28 +216,8 @@ def cmd_train(args):
 # eval / baseline summaries
 # ---------------------------------------------------------------------------
 
-def _summarize(preds, gts, indices):
-    """Per-subset metrics: (label, EvalResult or None) for N=1, N=2, overall."""
-    groups = {"n1": [], "n2": [], "overall": []}
-    for i, (p, g) in enumerate(zip(preds, gts)):
-        groups["overall"].append(i)
-        if len(g) == 1:
-            groups["n1"].append(i)
-        elif len(g) == 2:
-            groups["n2"].append(i)
-    out = {}
-    for label, rows in groups.items():
-        if rows:
-            out[label] = evaluation.mae_acc(
-                [preds[i] for i in rows], [gts[i] for i in rows],
-                frame_indices=[indices[i] for i in rows],
-            )
-        else:
-            out[label] = None
-    return out
-
-
-def _write_summary(summary, path):
+def _report(summary, out_dir, prefix):
+    """Write <prefix>results.jsonl and <prefix>summary.csv; print the summary."""
     columns = []
     values = []
     for label in ("n1", "n2", "overall"):
@@ -245,12 +225,12 @@ def _write_summary(summary, path):
         result = summary[label]
         values += ["" if result is None else f"{result.mae:.4f}",
                    "" if result is None else f"{result.acc:.2f}"]
-    with open(path, "w", encoding="utf-8") as fh:
+    os.makedirs(out_dir, exist_ok=True)
+    evaluation.write_results(summary["overall"],
+                             os.path.join(out_dir, f"{prefix}results.jsonl"))
+    with open(os.path.join(out_dir, f"{prefix}summary.csv"), "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         fh.write(",".join(values) + "\n")
-
-
-def _print_summary(summary):
     for label, title in (("n1", "N=1"), ("n2", "N=2"), ("overall", "overall")):
         result = summary[label]
         if result is None:
@@ -279,15 +259,7 @@ def cmd_eval(args):
     azimuths = [azimuths[i] for i in rows]
     indices = [indices[i] for i in rows]
     posterior = model.forward(gcc, vis, train=False)
-    preds = [
-        evaluation.decode_doa(posterior[i], len(azimuths[i]))
-        for i in range(len(rows))
-    ]
-    summary = _summarize(preds, azimuths, indices)
-    os.makedirs(args.out, exist_ok=True)
-    evaluation.write_results(summary["overall"], os.path.join(args.out, "results.jsonl"))
-    _write_summary(summary, os.path.join(args.out, "summary.csv"))
-    _print_summary(summary)
+    _report(evaluation.score(posterior, azimuths, indices), args.out, "")
 
 
 def cmd_baseline(args):
@@ -296,23 +268,11 @@ def cmd_baseline(args):
     subset = ds.subset(rows)
     gcc, _ = dataset_mod.extract_features(subset, snr_db=args.snr,
                                           seed=args.seed if args.seed is not None else 0)
-    preds = []
-    gts = []
-    for k, frame in enumerate(subset.frames):
-        feature = audio_mod.GccFeature(
-            gcc[k], audio_mod.DEFAULT_LAGS[0], audio_mod.DEFAULT_LAGS[1],
-            subset.audio.sample_rate,
-        )
-        srp = audio_mod.srp_phat(feature, subset.array)
-        preds.append(audio_mod.decode_srp(srp, len(frame.azimuths)))
-        gts.append(frame.azimuths)
-    indices = [f.frame_index for f in subset.frames]
-    summary = _summarize(preds, gts, indices)
-    os.makedirs(args.out, exist_ok=True)
-    evaluation.write_results(summary["overall"],
-                             os.path.join(args.out, "baseline_results.jsonl"))
-    _write_summary(summary, os.path.join(args.out, "baseline_summary.csv"))
-    _print_summary(summary)
+    feature = audio_mod.GccFeature(gcc, *audio_mod.DEFAULT_LAGS, subset.audio.sample_rate)
+    srp = audio_mod.srp_phat(feature, subset.array)
+    summary = evaluation.score(srp, [f.azimuths for f in subset.frames],
+                               [f.frame_index for f in subset.frames])
+    _report(summary, args.out, "baseline_")
 
 
 # ---------------------------------------------------------------------------
@@ -331,75 +291,6 @@ def _parse_fdsp_levels(text):
     return tuple(float(x) / 100.0 for x in text.split(","))
 
 
-def write_plot_data(grid, path):
-    """MAE-vs-SNR curves, one column per FDSP level."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = ["snr_db"] + [f"mae_fdsp_{int(round(100 * f))}pct"
-                               for f in grid.fdsp_levels]
-        fh.write(",".join(header) + "\n")
-        for snr in grid.snr_levels:
-            row = [evaluation.snr_label(snr)]
-            row += [f"{mae:.4f}" for mae, _ in grid.row(snr)]
-            fh.write(",".join(row) + "\n")
-
-
-def render_svg_chart(grid, path, width=640, height=420):
-    """Dependency-free static line chart of the MAE-vs-SNR curves."""
-    margin_l, margin_r, margin_t, margin_b = 60, 150, 30, 50
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
-    colors = ["#d62728", "#ff7f0e", "#2ca02c", "#1f77b4", "#9467bd", "#8c564b"]
-    maes = [mae for (mae, _) in grid.cells.values()]
-    y_max = max(maes) * 1.05 or 1.0
-    n_x = len(grid.snr_levels)
-
-    def x_pos(i):
-        return margin_l + plot_w * (i / max(n_x - 1, 1))
-
-    def y_pos(value):
-        return margin_t + plot_h * (1.0 - value / y_max)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin_l}" y1="{margin_t}" x2="{margin_l}" '
-        f'y2="{margin_t + plot_h}" stroke="black"/>',
-        f'<line x1="{margin_l}" y1="{margin_t + plot_h}" '
-        f'x2="{margin_l + plot_w}" y2="{margin_t + plot_h}" stroke="black"/>',
-        f'<text x="{margin_l - 45}" y="{margin_t + plot_h / 2}" font-size="12" '
-        f'transform="rotate(-90 {margin_l - 45} {margin_t + plot_h / 2})">MAE (deg)</text>',
-        f'<text x="{margin_l + plot_w / 2 - 30}" y="{height - 12}" '
-        f'font-size="12">audio SNR (dB)</text>',
-    ]
-    for i, snr in enumerate(grid.snr_levels):
-        parts.append(
-            f'<text x="{x_pos(i) - 10}" y="{margin_t + plot_h + 18}" font-size="11">'
-            f"{evaluation.snr_label(snr)}</text>"
-        )
-    for tick in np.linspace(0.0, y_max, 5):
-        parts.append(
-            f'<text x="{margin_l - 38}" y="{y_pos(tick) + 4}" '
-            f'font-size="11">{tick:.0f}</text>'
-        )
-    for j, fdsp in enumerate(grid.fdsp_levels):
-        color = colors[j % len(colors)]
-        points = " ".join(
-            f"{x_pos(i):.1f},{y_pos(grid.cells[(snr, fdsp)][0]):.1f}"
-            for i, snr in enumerate(grid.snr_levels)
-        )
-        parts.append(f'<polyline points="{points}" fill="none" '
-                     f'stroke="{color}" stroke-width="2"/>')
-        ly = margin_t + 16 * j + 10
-        parts.append(f'<line x1="{width - margin_r + 10}" y1="{ly}" '
-                     f'x2="{width - margin_r + 35}" y2="{ly}" '
-                     f'stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{width - margin_r + 42}" y="{ly + 4}" font-size="11">'
-                     f"FDSP {int(round(100 * fdsp))}%</text>")
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
-
-
 def cmd_robustness(args):
     model = nn.load_checkpoint(args.checkpoint)
     ds = dataset_mod.FrameDataset.load(args.dataset)
@@ -413,9 +304,8 @@ def cmd_robustness(args):
     )
     os.makedirs(args.out, exist_ok=True)
     evaluation.write_grid_csv(grid, os.path.join(args.out, "robustness_grid.csv"))
-    write_plot_data(grid, os.path.join(args.out, "mae_vs_snr.csv"))
-    if args.svg:
-        render_svg_chart(grid, os.path.join(args.out, "robustness.svg"))
+    evaluation.write_plot_data(grid, os.path.join(args.out, "mae_vs_snr.csv"))
+    evaluation.render_svg_chart(grid, os.path.join(args.out, "robustness.svg"))
     for snr in grid.snr_levels:
         cells = "  ".join(
             f"{mae:6.2f}/{acc:5.1f}" for mae, acc in grid.row(snr)
@@ -502,7 +392,6 @@ def build_parser():
     p.add_argument("--fdsp-levels", default="0,10,30,50,70", help="percentages")
     p.add_argument("--holdout", type=float, default=0.2)
     p.add_argument("--subset", default="holdout", choices=["holdout", "train", "all"])
-    p.add_argument("--svg", action="store_true", help="also render a static SVG chart")
     p.set_defaults(func=cmd_robustness)
 
     p = sub.add_parser("baseline", parents=[common],

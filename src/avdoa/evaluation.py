@@ -98,25 +98,43 @@ def mae_acc(pred_sets, gt_sets, frame_indices=None, allowance_deg=ACC_ALLOWANCE_
     if frame_indices is None:
         frame_indices = range(len(gt_sets))
     records = []
-    errors = []
     for index, preds, truths in zip(frame_indices, pred_sets, gt_sets):
-        matched = match_sources(preds, truths)
-        errors.extend(matched)
         records.append({
             "frame_index": int(index),
             "gt": [float(g) for g in truths],
             "pred": [float(p) for p in preds],
-            "matched_errors": matched,
+            "matched_errors": match_sources(preds, truths),
         })
-    errors = np.array(errors)
+    return _result(records, allowance_deg)
+
+
+def _result(records, allowance_deg=ACC_ALLOWANCE_DEG):
+    errors = np.array([e for record in records for e in record["matched_errors"]])
     if errors.size == 0:
         raise EmptyDataset("no sources to score")
     return EvalResult(
         mae=float(errors.mean()),
         acc=float(100.0 * np.mean(errors <= allowance_deg)),
-        frame_count=len(gt_sets),
+        frame_count=len(records),
         records=records,
     )
+
+
+def score(score_maps, truths, frame_indices=None):
+    """Decode each frame's 360-bin map for its known source count and score it.
+
+    Returns {"n1", "n2", "overall"} -> EvalResult, None for a subset with no
+    frames.  Every frame is matched once: the N=1 and N=2 results are built
+    from the overall result's per-frame records.
+    """
+    truths = list(truths)
+    preds = [decode_doa(scores, len(t)) for scores, t in zip(score_maps, truths)]
+    overall = mae_acc(preds, truths, frame_indices)
+    summary = {"overall": overall}
+    for label, n in (("n1", 1), ("n2", 2)):
+        records = [record for record in overall.records if len(record["gt"]) == n]
+        summary[label] = _result(records) if records else None
+    return summary
 
 
 def write_results(result, path):
@@ -154,6 +172,7 @@ def robustness_grid(model, dataset, snr_levels=SNR_LEVELS_DB, fdsp_levels=FDSP_L
     """
     from .dataset import extract_features, feature_matrices
 
+    truths = [frame.azimuths for frame in dataset.frames]
     cells = {}
     for i, snr in enumerate(snr_levels):
         for j, fdsp in enumerate(fdsp_levels):
@@ -162,12 +181,7 @@ def robustness_grid(model, dataset, snr_levels=SNR_LEVELS_DB, fdsp_levels=FDSP_L
             )
             gcc_mat, vis_mat = feature_matrices(gcc, vis)
             posterior = model.forward(gcc_mat, vis_mat, train=False)
-            preds = [
-                decode_doa(posterior[k], len(frame.azimuths))
-                for k, frame in enumerate(dataset.frames)
-            ]
-            gts = [frame.azimuths for frame in dataset.frames]
-            result = mae_acc(preds, gts)
+            result = score(posterior, truths)["overall"]
             cells[(snr, fdsp)] = (result.mae, result.acc)
     return RobustnessGrid(tuple(snr_levels), tuple(fdsp_levels), cells)
 
@@ -180,3 +194,73 @@ def write_grid_csv(grid, path):
         for snr in grid.snr_levels:
             cells = [f"{mae:.3f}/{acc:.2f}" for mae, acc in grid.row(snr)]
             fh.write(",".join([snr_label(snr)] + cells) + "\n")
+
+
+def write_plot_data(grid, path):
+    """MAE-vs-SNR curves, one column per FDSP level."""
+    with open(path, "w", encoding="utf-8") as fh:
+        header = ["snr_db"] + [f"mae_fdsp_{int(round(100 * f))}pct"
+                               for f in grid.fdsp_levels]
+        fh.write(",".join(header) + "\n")
+        for snr in grid.snr_levels:
+            row = [snr_label(snr)]
+            row += [f"{mae:.4f}" for mae, _ in grid.row(snr)]
+            fh.write(",".join(row) + "\n")
+
+
+def render_svg_chart(grid, path):
+    """Dependency-free static line chart of the MAE-vs-SNR curves."""
+    width, height = 640, 420
+    margin_l, margin_r, margin_t, margin_b = 60, 150, 30, 50
+    plot_w = width - margin_l - margin_r
+    plot_h = height - margin_t - margin_b
+    colors = ["#d62728", "#ff7f0e", "#2ca02c", "#1f77b4", "#9467bd", "#8c564b"]
+    maes = [mae for (mae, _) in grid.cells.values()]
+    y_max = max(maes) * 1.05 or 1.0
+    n_x = len(grid.snr_levels)
+
+    def x_pos(i):
+        return margin_l + plot_w * (i / max(n_x - 1, 1))
+
+    def y_pos(value):
+        return margin_t + plot_h * (1.0 - value / y_max)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<line x1="{margin_l}" y1="{margin_t}" x2="{margin_l}" '
+        f'y2="{margin_t + plot_h}" stroke="black"/>',
+        f'<line x1="{margin_l}" y1="{margin_t + plot_h}" '
+        f'x2="{margin_l + plot_w}" y2="{margin_t + plot_h}" stroke="black"/>',
+        f'<text x="{margin_l - 45}" y="{margin_t + plot_h / 2}" font-size="12" '
+        f'transform="rotate(-90 {margin_l - 45} {margin_t + plot_h / 2})">MAE (deg)</text>',
+        f'<text x="{margin_l + plot_w / 2 - 30}" y="{height - 12}" '
+        f'font-size="12">audio SNR (dB)</text>',
+    ]
+    for i, snr in enumerate(grid.snr_levels):
+        parts.append(
+            f'<text x="{x_pos(i) - 10}" y="{margin_t + plot_h + 18}" font-size="11">'
+            f"{snr_label(snr)}</text>"
+        )
+    for tick in np.linspace(0.0, y_max, 5):
+        parts.append(
+            f'<text x="{margin_l - 38}" y="{y_pos(tick) + 4}" '
+            f'font-size="11">{tick:.0f}</text>'
+        )
+    for j, fdsp in enumerate(grid.fdsp_levels):
+        color = colors[j % len(colors)]
+        points = " ".join(
+            f"{x_pos(i):.1f},{y_pos(grid.cells[(snr, fdsp)][0]):.1f}"
+            for i, snr in enumerate(grid.snr_levels)
+        )
+        parts.append(f'<polyline points="{points}" fill="none" '
+                     f'stroke="{color}" stroke-width="2"/>')
+        ly = margin_t + 16 * j + 10
+        parts.append(f'<line x1="{width - margin_r + 10}" y1="{ly}" '
+                     f'x2="{width - margin_r + 35}" y2="{ly}" '
+                     f'stroke="{color}" stroke-width="2"/>')
+        parts.append(f'<text x="{width - margin_r + 42}" y="{ly + 4}" font-size="11">'
+                     f"FDSP {int(round(100 * fdsp))}%</text>")
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n")

@@ -20,15 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BadMagic,
     BatchTooSmall,
     EmptyDataset,
     NaNLoss,
     ShapeMismatch,
-    TruncatedFile,
     VersionMismatch,
 )
 from .geom import wrap_degrees
+from .store import Reader
 
 N_CLASSES = 360
 GCC_DIM = 306       # 6 pairs x 51 lags
@@ -475,36 +474,12 @@ def save_checkpoint(model, path):
         fh.write(blob)
 
 
-class _Reader:
-    def __init__(self, data, path):
-        self.data = data
-        self.path = path
-        self.pos = 0
-
-    def _advance(self, size):
-        if self.pos + size > len(self.data):
-            raise TruncatedFile(f"{self.path}: file ends before byte {self.pos + size}")
-        start = self.pos
-        self.pos += size
-        return start
-
-    def take(self, fmt):
-        values = struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt)))
-        return values if len(values) > 1 else values[0]
-
-    def block_table(self):
-        shapes = []
-        for _ in range(self.take("<H")):
-            ndim = self.take("<B")
-            shape = self.take(f"<{ndim}I")
-            shapes.append(tuple(np.atleast_1d(shape)))
-        return shapes
-
-    def f64(self, shape):
-        count = int(np.prod(shape))
-        arr = np.frombuffer(self.data, dtype="<f8", count=count,
-                            offset=self._advance(count * 8))
-        return arr.reshape(shape).astype(np.float64)
+def _read_block_table(reader):
+    shapes = []
+    for _ in range(reader.take("<H")):
+        ndim = reader.take("<B")
+        shapes.append(tuple(np.atleast_1d(reader.take(f"<{ndim}I"))))
+    return shapes
 
 
 def load_checkpoint(path, model=None):
@@ -514,15 +489,8 @@ def load_checkpoint(path, model=None):
     exactly (ShapeMismatch otherwise); without it a fresh model is built
     from the self-describing header.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    reader = _Reader(data, path)
-    if data[:4] != _MAGIC:
-        raise BadMagic(f"{path}: not a checkpoint file")
-    reader.pos = 4
-    version = reader.take("<H")
-    if version != _VERSION:
-        raise VersionMismatch(f"{path}: version {version}, expected {_VERSION}")
+    reader = Reader(path)
+    reader.header(_MAGIC, _VERSION, "checkpoint file")
     arch = reader.take("<B")
     if arch not in _TAG_ARCHS:
         raise VersionMismatch(f"{path}: unknown architecture tag {arch}")
@@ -532,8 +500,8 @@ def load_checkpoint(path, model=None):
     hidden = tuple(np.atleast_1d(reader.take(f"<{n_hidden}I")))
     weight_net_hidden = reader.take("<I")
     bn_momentum, bn_eps = reader.take("<dd")
-    param_shapes = reader.block_table()
-    stat_shapes = reader.block_table()
+    param_shapes = _read_block_table(reader)
+    stat_shapes = _read_block_table(reader)
     if model is None:
         model = DoaModel(kind, hidden=hidden, weight_net_hidden=weight_net_hidden,
                          gcc_dim=gcc_dim, vis_dim=vis_dim, out_dim=out_dim, rng=0)
@@ -544,8 +512,8 @@ def load_checkpoint(path, model=None):
     if [p.shape for p in params] != param_shapes or [s.shape for s in stats] != stat_shapes:
         raise ShapeMismatch(f"{path}: parameter shapes do not match the model")
     for arr, shape in zip([*params, *stats], [*param_shapes, *stat_shapes]):
-        arr[...] = reader.f64(shape)
-    if reader.pos != len(data):
+        arr[...] = reader.array("<f8", shape)
+    if not reader.at_end():
         raise ShapeMismatch(f"{path}: trailing bytes after parameter blocks")
     for _, bn in model.core.blocks:
         bn.momentum = bn_momentum

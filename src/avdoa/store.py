@@ -1,16 +1,17 @@
-"""Binary per-frame feature container.
+"""Binary per-frame feature container, and the reader of both binary formats.
 
-Layout: magic "DOAF", version u16, then one record per frame of
-{frame_index u32, P u16, L u16, P*L float32 values}, all little-endian.
-A text sidecar at ``<path>.idx`` maps frame_index to timestamp, one
-"frame_index timestamp_s" pair per line.
+Layout: magic "DOAF", version u16, then one or more records, one per
+frame, of {frame_index u32, P u16, L u16, P*L float32 values}, all
+little-endian.  A text sidecar at ``<path>.idx`` maps frame_index to
+timestamp, one "frame_index timestamp_s" pair per line.
 """
 
+import math
 import struct
 
 import numpy as np
 
-from .errors import BadMagic, ConfigError, VersionMismatch
+from .errors import BadMagic, ConfigError, TruncatedFile, VersionMismatch
 
 _MAGIC = b"DOAF"
 _VERSION = 1
@@ -34,6 +35,49 @@ def read_key_values(path):
     return entries
 
 
+class Reader:
+    """Little-endian fields of a binary file (.doaf, .doam), read in order.
+
+    A read past the end raises TruncatedFile.
+    """
+
+    def __init__(self, path):
+        with open(path, "rb") as fh:
+            self.data = fh.read()
+        self.path = path
+        self.pos = 0
+
+    def _advance(self, size):
+        if self.pos + size > len(self.data):
+            raise TruncatedFile(f"{self.path}: file ends before byte {self.pos + size}")
+        start = self.pos
+        self.pos += size
+        return start
+
+    def header(self, magic, version, what):
+        """Check the magic bytes and the u16 format version after them."""
+        if self.data[self._advance(len(magic)):self.pos] != magic:
+            raise BadMagic(f"{self.path}: not a {what}")
+        found = self.take("<H")
+        if found != version:
+            raise VersionMismatch(f"{self.path}: version {found}, expected {version}")
+
+    def take(self, fmt):
+        """The values of a struct format: one value bare, else a tuple (maybe empty)."""
+        values = struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt)))
+        return values[0] if len(values) == 1 else values
+
+    def array(self, dtype, shape):
+        """The next prod(shape) values of ``dtype`` as a float64 array."""
+        dtype = np.dtype(dtype)
+        count = math.prod(map(int, shape))
+        values = np.frombuffer(self.data, dtype=dtype, count=count,
+                               offset=self._advance(count * dtype.itemsize))
+        return values.reshape(shape).astype(np.float64)
+
+    def at_end(self):
+        return self.pos == len(self.data)
+
 
 def write_feature_store(path, frames, timestamps=None):
     """Write (frame_index, values) pairs; ``values`` is a (P, L) array.
@@ -41,6 +85,8 @@ def write_feature_store(path, frames, timestamps=None):
     ``timestamps`` maps frame_index to seconds for the sidecar index; when
     omitted the sidecar is not written.
     """
+    if not frames:
+        raise ValueError("a feature store needs at least one record")
     parts = [_MAGIC, struct.pack("<H", _VERSION)]
     for frame_index, values in frames:
         values = np.asarray(values)
@@ -59,35 +105,11 @@ def write_feature_store(path, frames, timestamps=None):
 
 def read_feature_store(path):
     """Read back all records as (frame_index, float64 (P, L) array) pairs."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _MAGIC:
-        raise BadMagic(f"{path}: not a feature store")
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version != _VERSION:
-        raise VersionMismatch(f"{path}: version {version}, expected {_VERSION}")
-    pos = 6
+    reader = Reader(path)
+    reader.header(_MAGIC, _VERSION, "feature store")
     frames = []
-    while pos < len(data):
-        if pos + 8 > len(data):
-            raise ValueError(f"{path}: truncated record header")
-        frame_index, p, l = struct.unpack_from("<IHH", data, pos)
-        pos += 8
-        count = p * l
-        if pos + 4 * count > len(data):
-            raise ValueError(f"{path}: truncated record payload")
-        values = np.frombuffer(data, dtype="<f4", count=count, offset=pos)
-        pos += 4 * count
-        frames.append((frame_index, values.reshape(p, l).astype(np.float64)))
-    return frames
-
-
-def read_store_index(path):
-    """Sidecar index as a dict frame_index -> timestamp_s."""
-    index = {}
-    with open(f"{path}.idx", "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                key, value = line.split()
-                index[int(key)] = float(value)
-    return index
+    while True:
+        frame_index, p, l = reader.take("<IHH")
+        frames.append((frame_index, reader.array("<f4", (p, l))))
+        if reader.at_end():
+            return frames

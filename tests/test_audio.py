@@ -113,24 +113,6 @@ class TestAddNoise:
             audio.add_noise_at_snr(x, 0.0, seed=0)
 
 
-class TestFrameSignal:
-    def test_non_overlapping_count(self):
-        x = audio.MultichannelAudio(np.zeros((4, 81600)), 48000)
-        frames = audio.frame_signal(x)
-        assert len(frames) == 10
-        assert all(f.samples.shape == (4, 8160) for f in frames)
-
-    def test_half_overlap_count(self):
-        x = audio.MultichannelAudio(np.zeros((4, 81600)), 48000)
-        frames = audio.frame_signal(x, hop_s=0.085)
-        assert len(frames) == 19
-
-    def test_too_short(self):
-        x = audio.MultichannelAudio(np.zeros((4, 4800)), 48000)
-        with pytest.raises(TooShort):
-            audio.frame_signal(x)
-
-
 class TestGccPhatPair:
     def test_autocorrelation_peak(self):
         rng = np.random.default_rng(0)
@@ -250,6 +232,19 @@ class TestSrpPhat:
         srp = audio.srp_phat(audio.gcc_feature(frame), array)
         decoded = audio.decode_srp(srp, 2)
         assert len(decoded) == 2
+
+    def test_frame_stack_gives_one_map_per_frame(self):
+        rng = np.random.default_rng(11)
+        array = geom.MicArray.square()
+        features = []
+        for _ in range(3):
+            frame = audio.MultichannelAudio(rng.standard_normal((4, 2048)), 48000)
+            features.append(audio.gcc_feature(frame))
+        stack = audio.GccFeature(np.stack([f.values for f in features]), -25, 25, 48000)
+        maps = audio.srp_phat(stack, array)
+        assert maps.shape == (3, 360)
+        for row, feature in zip(maps, features):
+            assert np.array_equal(row, audio.srp_phat(feature, array))
 
     def test_lag_range_too_small(self):
         array = geom.MicArray.square(side=0.5)   # needs ~99 sample lags

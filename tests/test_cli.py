@@ -225,6 +225,15 @@ class TestEvalCommand:
         assert run("eval", "--checkpoint", cut, "--features", feats,
                    "--out", tmp_path / "o") == 2
 
+    def test_zero_hidden_layer_checkpoint_exits_2(self, pipeline, tmp_path):
+        _, _, feats, ckpt = pipeline
+        data = bytearray(ckpt.read_bytes())
+        data[19:21] = (0).to_bytes(2, "little")   # the hidden-layer count
+        bad = tmp_path / "zero.doam"
+        bad.write_bytes(bytes(data))
+        assert run("eval", "--checkpoint", bad, "--features", feats,
+                   "--out", tmp_path / "o") == 2
+
     def test_wrong_checkpoint_path_exits_4(self, pipeline, tmp_path):
         _, _, feats, _ = pipeline
         assert run("eval", "--checkpoint", tmp_path / "none.doam",
@@ -237,7 +246,7 @@ class TestRobustnessCommand:
         out = tmp_path / "rob"
         assert run("robustness", "--checkpoint", ckpt, "--dataset", ds,
                    "--snr-levels", "0,clean", "--fdsp-levels", "0,50",
-                   "--seed", 1, "--svg", "--out", out) == 0
+                   "--seed", 1, "--out", out) == 0
         grid_lines = (out / "robustness_grid.csv").read_text().strip().splitlines()
         assert grid_lines[0] == "snr_db,fdsp_0pct,fdsp_50pct"
         assert len(grid_lines) == 3

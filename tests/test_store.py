@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from avdoa.errors import BadMagic, VersionMismatch
-from avdoa.store import read_feature_store, read_store_index, write_feature_store
+from avdoa.errors import BadMagic, TruncatedFile, VersionMismatch
+from avdoa.store import read_feature_store, write_feature_store
 
 
 class TestFeatureStore:
@@ -35,8 +35,8 @@ class TestFeatureStore:
         path = tmp_path / "x.doaf"
         write_feature_store(path, [(0, np.zeros((2, 3))), (1, np.zeros((2, 3)))],
                             {0: 0.0, 1: 0.17})
-        index = read_store_index(path)
-        assert index == {0: 0.0, 1: pytest.approx(0.17)}
+        lines = (tmp_path / "x.doaf.idx").read_text().splitlines()
+        assert [line.split() for line in lines] == [["0", "0.000000"], ["1", "0.170000"]]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.doaf"
@@ -55,8 +55,22 @@ class TestFeatureStore:
         write_feature_store(path, [(0, np.ones((2, 51)))])
         data = path.read_bytes()
         path.write_bytes(data[:-10])
-        with pytest.raises(ValueError):
+        with pytest.raises(TruncatedFile):
             read_feature_store(path)
+
+    def test_every_truncation_is_typed(self, tmp_path):
+        path = tmp_path / "t.doaf"
+        write_feature_store(path, [(0, np.ones((2, 51)))])
+        data = path.read_bytes()
+        assert len(data) == 422
+        for size in range(len(data)):
+            path.write_bytes(data[:size])
+            with pytest.raises(TruncatedFile):
+                read_feature_store(path)
+
+    def test_empty_store_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_feature_store(tmp_path / "e.doaf", [])
 
     def test_deterministic_bytes(self, tmp_path):
         rng = np.random.default_rng(1)
