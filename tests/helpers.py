@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from avdoa.errors import AllZeroSpectrum
+
 
 def finite_difference(loss_fn, arrays, h=1e-5, sample=None, rng=None):
     """Central-difference gradients for a scalar loss over parameter arrays.
@@ -101,3 +103,37 @@ def three_pass_decode_doa(scores, n_sources, min_separation_deg=10.0):
         if len(chosen) == n_sources:
             break
     return [float(i - 180) for i in chosen]
+
+
+def complex_fft_gcc_feature(samples, lags=(-25, 25), fft_len=None):
+    """Reference GCC-PHAT: the complex-FFT, pair-by-pair implementation that
+    ``audio.gcc_feature`` replaced, kept so the real-FFT version is checked
+    against it.
+
+    ``samples`` is a (C, T) frame; returns one row per mic pair (l < p,
+    lexicographic), ordered lag_min..lag_max.  Each pair's cross spectrum
+    is whitened over all ``fft_len`` two-sided bins, bins below 1e-12 of
+    the pair's peak are dropped, and the inverse FFT is scaled by
+    fft_len / (number of kept bins).
+    """
+    samples = np.asarray(samples, dtype=float)
+    n_channels, n_samples = samples.shape
+    lag_min, lag_max = int(lags[0]), int(lags[1])
+    if fft_len is None:
+        fft_len = 1 << int(np.ceil(np.log2(max(n_samples, 2))))
+    spectra = np.fft.fft(samples, fft_len, axis=1)
+    idx = np.arange(lag_min, lag_max + 1) % fft_len
+    rows = []
+    for l in range(n_channels):
+        for p in range(l + 1, n_channels):
+            cross = spectra[l] * np.conj(spectra[p])
+            mag = np.abs(cross)
+            peak = mag.max()
+            if peak == 0.0:
+                raise AllZeroSpectrum("all cross-spectrum bins vanished (silent frame?)")
+            keep = mag > 1e-12 * peak
+            weights = np.zeros_like(cross)
+            weights[keep] = cross[keep] / mag[keep]
+            cc = np.fft.ifft(weights).real * (fft_len / int(keep.sum()))
+            rows.append(cc[idx])
+    return np.stack(rows)

@@ -10,7 +10,7 @@ from avdoa.errors import (
     SilentSignal,
     TooShort,
 )
-from helpers import time_domain_phat_oracle
+from helpers import complex_fft_gcc_feature, time_domain_phat_oracle
 
 
 class TestSynthSource:
@@ -195,6 +195,77 @@ class TestGccFeature:
         frame = audio.MultichannelAudio(np.zeros((4, 2048)), 48000)
         with pytest.raises(AllZeroSpectrum):
             audio.gcc_feature(frame)
+
+    def test_one_silent_channel_error(self):
+        rng = np.random.default_rng(3)
+        samples = rng.standard_normal((4, 2048))
+        samples[2] = 0.0
+        with pytest.raises(AllZeroSpectrum):
+            audio.gcc_feature(audio.MultichannelAudio(samples, 48000))
+
+
+class TestGccAgainstComplexFft:
+    """gcc_feature and gcc_phat_pair against the complex-FFT, pair-by-pair
+    implementation they replaced (helpers.complex_fft_gcc_feature)."""
+
+    def test_random_frames(self):
+        # 240 frames: 2-6 channels; power-of-two (given or default), even
+        # and odd fft_len; asymmetric lag ranges; every fourth frame
+        # band-limited at fft_len == frame length, so its high bins fall
+        # under the PHAT guard; every fifth frame zero-mean, so DC does
+        rng = np.random.default_rng(12)
+        guarded = 0
+        for trial in range(240):
+            n_channels = int(rng.integers(2, 7))
+            n_samples = int(rng.integers(64, 1500))
+            length_kind = trial % 3
+            if length_kind == 0:
+                fft_len = 1 << int(np.ceil(np.log2(n_samples)))
+            else:
+                fft_len = n_samples + int(rng.integers(0, 300))
+                fft_len += (fft_len % 2) ^ (length_kind == 2)
+            if trial % 4 == 3:
+                n_samples = fft_len
+                bins = fft_len // 2 + 1
+                spectrum = (rng.standard_normal((n_channels, bins))
+                            + 1j * rng.standard_normal((n_channels, bins)))
+                spectrum[:, int(rng.integers(bins // 4, bins - 1)):] = 0.0
+                samples = np.fft.irfft(spectrum, fft_len, axis=1)
+            else:
+                samples = rng.standard_normal((n_channels, n_samples))
+                if trial % 5 == 0:
+                    samples -= samples.mean(axis=1, keepdims=True)
+            lag_min = -int(rng.integers(0, 60))
+            lags = (lag_min, int(rng.integers(lag_min, 60)))
+            given_len = None if length_kind == 0 and trial % 2 else fft_len
+
+            want = complex_fft_gcc_feature(samples, lags, given_len)
+            got = audio.gcc_feature(audio.MultichannelAudio(samples, 48000),
+                                    lags, given_len).values
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+            pairs = [(l, p) for l in range(n_channels) for p in range(l + 1, n_channels)]
+            row = int(rng.integers(len(pairs)))
+            l, p = pairs[row]
+            pair = audio.gcc_phat_pair(samples[l], samples[p], lags, given_len)
+            assert np.max(np.abs(pair - want[row])) <= 1e-12
+
+            spectra = np.fft.rfft(samples[:2], fft_len, axis=1)
+            cross = np.abs(spectra[0] * np.conj(spectra[1]))
+            guarded += bool(np.any(cross <= 1e-12 * cross.max()))
+        assert guarded >= 60
+
+    def test_odd_fft_len(self):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal(1001)
+        auto = audio.gcc_phat_pair(x, x, fft_len=1001)
+        assert auto[25] == pytest.approx(1.0, abs=1e-12)
+        y = np.roll(x, 3)
+        shifted = audio.gcc_phat_pair(x, y, fft_len=1001)
+        reference = complex_fft_gcc_feature(np.stack([x, y]), fft_len=1001)[0]
+        assert np.max(np.abs(shifted - reference)) <= 1e-12
+        assert np.argmax(shifted) - 25 == -3
 
 
 class TestSrpPhat:

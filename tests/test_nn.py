@@ -216,6 +216,31 @@ class TestAdam:
         assert adam.step_count == 5
         assert p[0] < -0.004   # roughly lr per step under constant gradient
 
+    def test_large_parameters_match_whole_array_update(self):
+        # parameters far larger than one update chunk, and not a multiple
+        # of it, match the whole-array Adam formulas bit for bit
+        rng = np.random.default_rng(0)
+        shapes = [(300, 701), (701,), (3,)]
+        params = [rng.standard_normal(s) for s in shapes]
+        expected = [p.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        adam = nn.Adam()
+        b1, b2, lr, eps = adam.beta1, adam.beta2, adam.learning_rate, adam.eps
+        for t in range(1, 4):
+            grads = [rng.standard_normal(s) for s in shapes]
+            adam.step(params, grads)
+            bc1 = 1.0 - b1**t
+            bc2 = 1.0 - b2**t
+            for p, g, mi, vi in zip(expected, grads, m, v):
+                mi *= b1
+                mi += (1.0 - b1) * g
+                vi *= b2
+                vi += (1.0 - b2) * (g * g)
+                p -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+        for got, want in zip(params, expected):
+            assert np.array_equal(got, want)
+
 
 class TestEncodeTarget:
     def test_exact_grid_value_is_one(self):
