@@ -7,8 +7,9 @@ direction.  GCC-PHAT follows the whitened cross-spectrum form
     gcc_lp(tau) = sum_k Re( S_l[k] conj(S_p[k]) / |S_l[k] conj(S_p[k])|
                             * exp(j 2 pi k tau / N) )
 
-evaluated at integer lags via the inverse FFT of the whitened cross
-spectrum (the identical sum).  Sign convention: when channel p lags
+evaluated at integer lags by one inverse real FFT of the one-sided
+whitened cross spectra of all mic pairs (the identical sum: real frames
+have Hermitian cross spectra).  Sign convention: when channel p lags
 channel l by d samples the peak sits at tau = -d.  The renderer and the
 SRP-PHAT steering both use this convention, so a source at azimuth theta
 produces pair peaks at the lags SRP-PHAT predicts for theta.
@@ -186,74 +187,68 @@ def add_noise_at_snr(audio, snr_db, seed=None):
     return MultichannelAudio(audio.samples + noise, audio.sample_rate)
 
 
-def _whitened_cross_spectrum(spec_l, spec_p):
-    """PHAT-whitened cross spectrum with near-zero bins zeroed out.
+def _whitened_cross_spectrum(spectra, fft_len):
+    """PHAT-whitened one-sided cross spectra of all channel pairs (l < p).
 
-    The guard is relative to the largest bin magnitude so the result is
-    invariant to scaling either input; returns (weights, n_contributing).
+    Bins under 1e-12 of their pair's largest bin are zeroed, so scaling
+    either input changes nothing.  Returns the (P, bins) weights and, per
+    pair, the number of contributing bins of the two-sided spectrum.
     """
-    cross = spec_l * np.conj(spec_p)
+    l, p = np.triu_indices(spectra.shape[0], k=1)
+    cross = np.multiply(spectra[l], np.conj(spectra[p]))
     mag = np.abs(cross)
-    peak = mag.max()
-    if peak == 0.0:
+    peak = mag.max(axis=1, keepdims=True)
+    if np.any(peak == 0.0):
         raise AllZeroSpectrum("all cross-spectrum bins vanished (silent frame?)")
     keep = mag > 1e-12 * peak
-    weights = np.zeros_like(cross)
-    weights[keep] = cross[keep] / mag[keep]
-    return weights, int(keep.sum())
+    weights = np.divide(cross, mag, out=np.zeros_like(cross), where=keep)
+    # an interior bin is two bins of the two-sided spectrum; DC and Nyquist one
+    nyquist = keep[:, -1] if fft_len % 2 == 0 else 0
+    return weights, 2 * keep.sum(axis=1) - keep[:, 0] - nyquist
 
 
-def _gcc_from_spectra(spec_l, spec_p, lag_min, lag_max, fft_len):
-    weights, n_bins = _whitened_cross_spectrum(spec_l, spec_p)
-    cc = np.fft.ifft(weights).real * (fft_len / n_bins)
+def _gcc_rows(samples, lags, fft_len):
+    """GCC-PHAT rows of every pair of a (C, T) frame; see gcc_phat_pair."""
+    lag_min, lag_max = int(lags[0]), int(lags[1])
+    if lag_min > lag_max:
+        raise ValueError("lag range is empty")
+    if fft_len is None:
+        fft_len = 1 << int(np.ceil(np.log2(max(samples.shape[1], 2))))
+    if fft_len < samples.shape[1]:
+        raise ValueError("fft_len must be at least the frame length")
+    spectra = np.fft.rfft(samples, fft_len, axis=1)
+    weights, n_bins = _whitened_cross_spectrum(spectra, fft_len)
+    cc = np.fft.irfft(weights, fft_len, axis=-1)
     idx = np.arange(lag_min, lag_max + 1) % fft_len
-    return cc[idx]
+    return cc[:, idx] * (fft_len / n_bins)[:, None]
 
 
 def gcc_phat_pair(frame_l, frame_p, lags=DEFAULT_LAGS, fft_len=None):
     """GCC-PHAT between two equal-length real frames at integer lags.
 
     Frames are zero-padded to ``fft_len`` (next power of two by default)
-    and the output is normalized by the number of contributing bins, so
-    gcc_phat_pair(x, x) peaks at exactly 1.0 at lag 0.  Output is ordered
-    lag_min..lag_max.
+    and the output is normalized by the number of contributing bins of the
+    two-sided spectrum: twice the kept bins of the one-sided real FFT, less
+    DC and (for even ``fft_len``) Nyquist when kept.  So gcc_phat_pair(x, x)
+    peaks at exactly 1.0 at lag 0.  Output is ordered lag_min..lag_max.
     """
     x_l = np.asarray(frame_l, dtype=float).reshape(-1)
     x_p = np.asarray(frame_p, dtype=float).reshape(-1)
     if x_l.size != x_p.size:
         raise ValueError("frames must have equal length")
-    lag_min, lag_max = int(lags[0]), int(lags[1])
-    if lag_min > lag_max:
-        raise ValueError("lag range is empty")
-    if fft_len is None:
-        fft_len = 1 << int(np.ceil(np.log2(max(x_l.size, 2))))
-    if fft_len < x_l.size:
-        raise ValueError("fft_len must be at least the frame length")
-    spec_l = np.fft.fft(x_l, fft_len)
-    spec_p = np.fft.fft(x_p, fft_len)
-    return _gcc_from_spectra(spec_l, spec_p, lag_min, lag_max, fft_len)
+    return _gcc_rows(np.stack([x_l, x_p]), lags, fft_len)[0]
 
 
 def gcc_feature(frame, lags=DEFAULT_LAGS, fft_len=None):
     """GCC-PHAT rows for every mic pair of a multichannel frame.
 
-    Channel spectra are computed once and shared across pairs; rows appear
+    One real FFT of the frame and one inverse over all pairs; rows appear
     in lexicographic (l < p) order, e.g. 6 rows for 4 channels.
     """
     if frame.n_channels < 2:
         raise ValueError("need at least two channels")
-    lag_min, lag_max = int(lags[0]), int(lags[1])
-    if fft_len is None:
-        fft_len = 1 << int(np.ceil(np.log2(max(frame.n_samples, 2))))
-    if fft_len < frame.n_samples:
-        raise ValueError("fft_len must be at least the frame length")
-    spectra = np.fft.fft(frame.samples, fft_len, axis=1)
-    rows = [
-        _gcc_from_spectra(spectra[l], spectra[p], lag_min, lag_max, fft_len)
-        for l in range(frame.n_channels)
-        for p in range(l + 1, frame.n_channels)
-    ]
-    return GccFeature(np.stack(rows), lag_min, lag_max, frame.sample_rate)
+    values = _gcc_rows(frame.samples, lags, fft_len)
+    return GccFeature(values, int(lags[0]), int(lags[1]), frame.sample_rate)
 
 
 def pair_lag_for_azimuth(array, sample_rate, azimuth_deg):

@@ -183,6 +183,8 @@ class BatchNorm:
 class Adam:
     """Adam with bias correction; state (m, v, t) lives on the optimizer."""
 
+    _CHUNK = 1 << 14   # elements per update chunk; the scratch buffers stay in cache
+
     def __init__(self, learning_rate=TrainConfig.learning_rate, beta1=TrainConfig.beta1,
                  beta2=TrainConfig.beta2, eps=TrainConfig.adam_eps):
         self.learning_rate = learning_rate
@@ -192,6 +194,7 @@ class Adam:
         self.step_count = 0
         self._m = None
         self._v = None
+        self._scratch = (np.empty(self._CHUNK), np.empty(self._CHUNK))
 
     def step(self, params, grads):
         if self._m is None:
@@ -203,12 +206,27 @@ class Adam:
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
+        # the whole-array formulas op by op, chunk by chunk: bit-identical results
         for p, g, m, v in zip(params, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if p.shape != g.shape or not (p.flags.c_contiguous and g.flags.c_contiguous):
+                raise ShapeMismatch("need C-contiguous parameters and gradients of equal shape")
+            flat = [x.reshape(-1) for x in (p, g, m, v)]   # views: all C-contiguous
+            for s in range(0, p.size, self._CHUNK):
+                pc, gc, mc, vc = (x[s:s + self._CHUNK] for x in flat)
+                a, b = (x[:pc.size] for x in self._scratch)
+                mc *= self.beta1
+                np.multiply(gc, 1.0 - self.beta1, out=a)
+                mc += a
+                vc *= self.beta2
+                np.multiply(gc, gc, out=a)
+                a *= 1.0 - self.beta2
+                vc += a
+                np.divide(mc, bc1, out=a)
+                a *= self.learning_rate
+                np.sqrt(np.divide(vc, bc2, out=b), out=b)
+                b += self.eps
+                a /= b
+                pc -= a
 
 
 # ---------------------------------------------------------------------------

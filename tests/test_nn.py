@@ -241,6 +241,15 @@ class TestAdam:
         for got, want in zip(params, expected):
             assert np.array_equal(got, want)
 
+    def test_non_contiguous_or_misshapen_rejected(self):
+        # the update writes through flat views, which need C order
+        with pytest.raises(ShapeMismatch):
+            nn.Adam().step([np.zeros((4, 6))[:, ::2]], [np.ones((4, 3))])
+        with pytest.raises(ShapeMismatch):
+            nn.Adam().step([np.zeros((4, 3))], [np.ones((4, 3)).T.copy().T])
+        with pytest.raises(ShapeMismatch):
+            nn.Adam().step([np.zeros((4, 3))], [np.ones((3, 4))])
+
 
 class TestEncodeTarget:
     def test_exact_grid_value_is_one(self):
