@@ -202,14 +202,14 @@ class Adam:
             self._v = [np.zeros_like(p) for p in params]
         if len(params) != len(self._m):
             raise ShapeMismatch("parameter list changed between steps")
-        self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
-        # the whole-array formulas op by op, chunk by chunk: bit-identical results
-        for p, g, m, v in zip(params, grads, self._m, self._v):
+        for p, g in zip(params, grads):
             if p.shape != g.shape or not (p.flags.c_contiguous and g.flags.c_contiguous):
                 raise ShapeMismatch("need C-contiguous parameters and gradients of equal shape")
+        self.step_count += 1
+        bc1 = 1.0 - self.beta1**self.step_count
+        bc2 = 1.0 - self.beta2**self.step_count
+        # the whole-array formulas op by op, chunk by chunk: bit-identical results
+        for p, g, m, v in zip(params, grads, self._m, self._v):
             flat = [x.reshape(-1) for x in (p, g, m, v)]   # views: all C-contiguous
             for s in range(0, p.size, self._CHUNK):
                 pc, gc, mc, vc = (x[s:s + self._CHUNK] for x in flat)
