@@ -15,14 +15,13 @@ import numpy as np
 
 from . import audio as audio_mod
 from . import dataset as dataset_mod
-from . import evaluation, geom, nn, visual
+from . import evaluation, geom, nn
 from .errors import AvdoaError, ConfigError, NaNLoss
 from .store import read_feature_store, read_key_values, write_feature_store
 
 GCC_STORE = "gcc.doaf"
 VISUAL_STORE = "visual.doaf"
 LABELS_NAME = "labels.jsonl"
-META_NAME = "meta.json"
 
 
 # ---------------------------------------------------------------------------
@@ -123,17 +122,14 @@ def cmd_simulate(args):
 
 def cmd_features(args):
     ds = dataset_mod.FrameDataset.load(args.dataset)
-    seed = args.seed if args.seed is not None else 0
     gcc, vis = dataset_mod.extract_features(
-        ds, snr_db=args.snr, fdsp=args.fdsp, seed=seed,
+        ds, snr_db=args.snr, fdsp=args.fdsp,
+        seed=args.seed if args.seed is not None else 0,
     )
     os.makedirs(args.out, exist_ok=True)
-    timestamps = {f.frame_index: f.timestamp_s for f in ds.frames}
     indices = [f.frame_index for f in ds.frames]
-    write_feature_store(os.path.join(args.out, GCC_STORE),
-                        list(zip(indices, gcc)), timestamps)
-    write_feature_store(os.path.join(args.out, VISUAL_STORE),
-                        list(zip(indices, vis)), timestamps)
+    write_feature_store(os.path.join(args.out, GCC_STORE), list(zip(indices, gcc)))
+    write_feature_store(os.path.join(args.out, VISUAL_STORE), list(zip(indices, vis)))
     with open(os.path.join(args.out, LABELS_NAME), "w", encoding="utf-8") as fh:
         for frame in ds.frames:
             fh.write(json.dumps({
@@ -141,42 +137,25 @@ def cmd_features(args):
                 "timestamp_s": frame.timestamp_s,
                 "azimuths": [float(a) for a in frame.azimuths],
             }) + "\n")
-    meta = {
-        "frame_count": len(ds),
-        "sample_rate": ds.audio.sample_rate,
-        "lag_min": audio_mod.DEFAULT_LAGS[0],
-        "lag_max": audio_mod.DEFAULT_LAGS[1],
-        "feature_length": visual.FEATURE_LENGTH,
-        "gcc_pairs": gcc.shape[1],
-        "snr_db": args.snr,
-        "fdsp": args.fdsp,
-        "seed": seed,
-    }
-    with open(os.path.join(args.out, META_NAME), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
     print(f"wrote {len(ds)} feature frames to {args.out}")
 
 
+def _read_store(features_dir, name, indices):
+    """One row per record; the records' frame indices must equal ``indices``."""
+    frames = read_feature_store(os.path.join(features_dir, name))
+    if [frame_index for frame_index, _ in frames] != indices:
+        raise ConfigError(f"{features_dir}: {name} frame indices differ from {LABELS_NAME}")
+    return np.stack([values.reshape(-1) for _, values in frames])
+
+
 def _load_features_dir(features_dir, need_visual=True):
-    gcc_frames = read_feature_store(os.path.join(features_dir, GCC_STORE))
-    labels = []
+    """(gcc, vis, azimuths, frame indices) of a features directory, in label order."""
     with open(os.path.join(features_dir, LABELS_NAME), "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                labels.append(json.loads(line))
-    if len(labels) != len(gcc_frames):
-        raise ConfigError(f"{features_dir}: label and feature counts differ")
-    gcc = np.stack([values.reshape(-1) for _, values in gcc_frames])
-    vis = None
-    if need_visual:
-        vis_frames = read_feature_store(os.path.join(features_dir, VISUAL_STORE))
-        if len(vis_frames) != len(gcc_frames):
-            raise ConfigError(f"{features_dir}: visual store length differs")
-        vis = np.stack([values.reshape(-1) for _, values in vis_frames])
-    azimuths = [record["azimuths"] for record in labels]
+        labels = [json.loads(line) for line in fh if line.strip()]
     indices = [int(record["frame_index"]) for record in labels]
-    return gcc, vis, azimuths, indices
+    gcc = _read_store(features_dir, GCC_STORE, indices)
+    vis = _read_store(features_dir, VISUAL_STORE, indices) if need_visual else None
+    return gcc, vis, [record["azimuths"] for record in labels], indices
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +174,8 @@ def cmd_train(args):
         raise ConfigError("holdout leaves no training frames")
     model = nn.build_model(args.model, hidden=config.hidden,
                            weight_net_hidden=config.weight_net_hidden,
-                           seed=config.seed)
+                           seed=config.seed, gcc_dim=gcc.shape[1],
+                           vis_dim=0 if vis is None else vis.shape[1])
     history = nn.train_model(
         model,
         gcc[train_idx],
@@ -298,8 +278,10 @@ def cmd_robustness(args):
     subset = ds.subset(rows)
     grid = evaluation.robustness_grid(
         model, subset,
-        snr_levels=_parse_snr_levels(args.snr_levels),
-        fdsp_levels=_parse_fdsp_levels(args.fdsp_levels),
+        snr_levels=(evaluation.SNR_LEVELS_DB if args.snr_levels is None
+                    else _parse_snr_levels(args.snr_levels)),
+        fdsp_levels=(evaluation.FDSP_LEVELS if args.fdsp_levels is None
+                     else _parse_fdsp_levels(args.fdsp_levels)),
         seed=args.seed if args.seed is not None else 0,
     )
     os.makedirs(args.out, exist_ok=True)
@@ -388,8 +370,10 @@ def build_parser():
                        help="SNR x FDSP degradation grid for a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--snr-levels", default="-10,0,10,20,clean")
-    p.add_argument("--fdsp-levels", default="0,10,30,50,70", help="percentages")
+    p.add_argument("--snr-levels", default=None,
+                   help="dB values or 'clean', e.g. '0,clean' (default: the paper's five)")
+    p.add_argument("--fdsp-levels", default=None,
+                   help="percentages, e.g. '0,50' (default: the paper's five)")
     p.add_argument("--holdout", type=float, default=0.2)
     p.add_argument("--subset", default="holdout", choices=["holdout", "train", "all"])
     p.set_defaults(func=cmd_robustness)

@@ -395,9 +395,11 @@ class DoaModel:
 
 
 def build_model(kind, hidden=TrainConfig.hidden,
-                weight_net_hidden=TrainConfig.weight_net_hidden, seed=0):
+                weight_net_hidden=TrainConfig.weight_net_hidden, seed=0,
+                gcc_dim=GCC_DIM, vis_dim=VIS_DIM):
     """Construct a model with seeded initialization (init rng = [seed, 0])."""
     return DoaModel(kind, hidden=hidden, weight_net_hidden=weight_net_hidden,
+                    gcc_dim=gcc_dim, vis_dim=vis_dim,
                     rng=np.random.default_rng([seed, 0]))
 
 

@@ -2,8 +2,8 @@
 
 Layout: magic "DOAF", version u16, then one or more records, one per
 frame, of {frame_index u32, P u16, L u16, P*L float32 values}, all
-little-endian.  A text sidecar at ``<path>.idx`` maps frame_index to
-timestamp, one "frame_index timestamp_s" pair per line.
+little-endian.  The frame indices tie a store to the other files of its
+features directory; the CLI checks that they agree.
 """
 
 import math
@@ -79,12 +79,8 @@ class Reader:
         return self.pos == len(self.data)
 
 
-def write_feature_store(path, frames, timestamps=None):
-    """Write (frame_index, values) pairs; ``values`` is a (P, L) array.
-
-    ``timestamps`` maps frame_index to seconds for the sidecar index; when
-    omitted the sidecar is not written.
-    """
+def write_feature_store(path, frames):
+    """Write (frame_index, values) pairs; ``values`` is a (P, L) array."""
     if not frames:
         raise ValueError("a feature store needs at least one record")
     parts = [_MAGIC, struct.pack("<H", _VERSION)]
@@ -97,10 +93,6 @@ def write_feature_store(path, frames, timestamps=None):
         parts.append(values.astype("<f4").tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
-    if timestamps is not None:
-        with open(f"{path}.idx", "w", encoding="utf-8") as fh:
-            for frame_index, _ in frames:
-                fh.write(f"{int(frame_index)} {timestamps[frame_index]:.6f}\n")
 
 
 def read_feature_store(path):

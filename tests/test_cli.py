@@ -1,12 +1,14 @@
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from avdoa import cli
+from avdoa import cli, evaluation, nn
 from avdoa.cli import main
 from avdoa.errors import ConfigError
+from avdoa.store import read_feature_store, write_feature_store
 
 
 def sha256(path):
@@ -100,12 +102,11 @@ class TestConfigTables:
 class TestFeatures:
     def test_store_layout(self, pipeline):
         _, _, feats, _ = pipeline
-        for name in ("gcc.doaf", "gcc.doaf.idx", "visual.doaf", "visual.doaf.idx",
-                     "labels.jsonl", "meta.json"):
-            assert (feats / name).exists()
-        meta = json.loads((feats / "meta.json").read_text())
-        assert meta["frame_count"] == 160
-        assert meta["gcc_pairs"] == 6
+        assert sorted(p.name for p in feats.iterdir()) == [
+            "gcc.doaf", "labels.jsonl", "visual.doaf"]
+        gcc = read_feature_store(feats / "gcc.doaf")
+        assert [index for index, _ in gcc] == list(range(160))
+        assert all(values.shape == (6, 51) for _, values in gcc)
 
     def test_repeat_runs_byte_identical(self, pipeline, tmp_path):
         _, ds, feats, _ = pipeline
@@ -152,7 +153,6 @@ class TestTrain:
         stripped = tmp_path / "stripped"
         assert run("features", "--dataset", ds, "--out", stripped) == 0
         (stripped / "visual.doaf").unlink()
-        (stripped / "visual.doaf.idx").unlink()
         out = tmp_path / "m.doam"
         assert run("train", "--features", stripped, "--model", "gcc_only",
                    "--widths", "32,32,32", "--epochs", 4, "--seed", 0,
@@ -240,6 +240,47 @@ class TestEvalCommand:
                    "--features", feats, "--out", tmp_path / "o") == 4
 
 
+class TestFeaturesDirectoryCheck:
+    """train and eval exit 2, writing nothing, when the labels and the stores
+    of a features directory disagree on the frame order."""
+
+    def _copy(self, pipeline, tmp_path):
+        _, _, feats, _ = pipeline
+        copy = tmp_path / "feats"
+        shutil.copytree(feats, copy)
+        return copy
+
+    def _assert_refused(self, feats, checkpoint, store, tmp_path, capsys):
+        capsys.readouterr()
+        out = tmp_path / "m.doam"
+        assert run("train", "--features", feats, "--model", "avc",
+                   "--widths", "8,8,8", "--epochs", 1, "--out", out) == 2
+        assert not out.exists()
+        assert not (tmp_path / "m.doam.losses.csv").exists()
+        assert run("eval", "--checkpoint", checkpoint, "--features", feats,
+                   "--out", tmp_path / "eval") == 2
+        assert not (tmp_path / "eval").exists()
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2
+        assert all(line.startswith("error: ") and str(feats) in line and store in line
+                   for line in errors)
+
+    def test_reversed_labels(self, pipeline, tmp_path, capsys):
+        feats = self._copy(pipeline, tmp_path)
+        labels = feats / "labels.jsonl"
+        labels.write_text("".join(reversed(labels.read_text().splitlines(keepends=True))))
+        self._assert_refused(feats, pipeline[3], "gcc.doaf", tmp_path, capsys)
+
+    def test_visual_store_out_of_order(self, pipeline, tmp_path, capsys):
+        feats = self._copy(pipeline, tmp_path)
+        records = read_feature_store(feats / "visual.doaf")
+        records[0], records[1] = records[1], records[0]
+        write_feature_store(feats / "visual.doaf", records)
+        avc = tmp_path / "avc.doam"
+        nn.save_checkpoint(nn.build_model("avc", hidden=(8, 8, 8)), avc)
+        self._assert_refused(feats, avc, "visual.doaf", tmp_path, capsys)
+
+
 class TestRobustnessCommand:
     def test_small_grid(self, pipeline, tmp_path):
         _, ds, _, ckpt = pipeline
@@ -255,6 +296,20 @@ class TestRobustnessCommand:
         svg = (out / "robustness.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    def test_default_levels_are_the_papers_grid(self, pipeline, tmp_path):
+        assert cli._parse_snr_levels("-10,0,10,20,clean") == evaluation.SNR_LEVELS_DB
+        assert cli._parse_fdsp_levels("0,10,30,50,70") == evaluation.FDSP_LEVELS
+        _, ds, _, ckpt = pipeline
+        out = tmp_path / "rob"
+        assert run("robustness", "--checkpoint", ckpt, "--dataset", ds,
+                   "--seed", 1, "--out", out) == 0
+        grid_lines = (out / "robustness_grid.csv").read_text().strip().splitlines()
+        assert grid_lines[0] == ("snr_db,fdsp_0pct,fdsp_10pct,fdsp_30pct,"
+                                 "fdsp_50pct,fdsp_70pct")
+        assert [line.split(",")[0] for line in grid_lines[1:]] == [
+            "-10", "0", "10", "20", "clean"]
+        assert all(len(line.split(",")) == 6 for line in grid_lines)
+
 
 class TestBaselineCommand:
     def test_srp_baseline_on_clean_single_source(self, pipeline, tmp_path):
@@ -264,6 +319,30 @@ class TestBaselineCommand:
         header, values = (out / "baseline_summary.csv").read_text().strip().splitlines()
         cells = dict(zip(header.split(","), values.split(",")))
         assert float(cells["acc_overall"]) > 90.0
+
+
+class TestThreeMicArray:
+    def test_pipeline_sizes_the_model_from_the_stores(self, pipeline, tmp_path):
+        _, ds, _, _ = pipeline
+        lines = (ds / "array.txt").read_text().splitlines(keepends=True)
+        last_mic = max(i for i, line in enumerate(lines) if line.startswith("mic"))
+        array = tmp_path / "array.txt"
+        array.write_text("".join(lines[:last_mic] + lines[last_mic + 1:]))
+        ds3, feats, ckpt = tmp_path / "ds", tmp_path / "feats", tmp_path / "m.doam"
+        assert run("simulate", "--out", ds3, "--array", array, "--frames", 40,
+                   "--seed", 2, "--visibility", "1.0", "--source-kind", "white") == 0
+        assert run("features", "--dataset", ds3, "--out", feats) == 0
+        assert read_feature_store(feats / "gcc.doaf")[0][1].shape == (3, 51)
+        assert run("train", "--features", feats, "--model", "avaw",
+                   "--widths", "16,16,16", "--epochs", 2, "--seed", 1,
+                   "--out", ckpt) == 0
+        model = nn.load_checkpoint(ckpt)
+        assert (model.gcc_dim, model.vis_dim) == (153, 102)
+        assert run("eval", "--checkpoint", ckpt, "--features", feats,
+                   "--out", tmp_path / "eval") == 0
+        assert run("robustness", "--checkpoint", ckpt, "--dataset", ds3,
+                   "--snr-levels", "0,clean", "--fdsp-levels", "0,50",
+                   "--out", tmp_path / "rob") == 0
 
 
 class TestFullDeterminism:

@@ -10,9 +10,8 @@ class TestFeatureStore:
         rng = np.random.default_rng(0)
         frames = [(i, rng.standard_normal((6, 51)).astype(np.float32).astype(float))
                   for i in range(5)]
-        timestamps = {i: i * 0.17 for i in range(5)}
         path = tmp_path / "gcc.doaf"
-        write_feature_store(path, frames, timestamps)
+        write_feature_store(path, frames)
         loaded = read_feature_store(path)
         assert len(loaded) == 5
         for (i0, v0), (i1, v1) in zip(frames, loaded):
@@ -30,13 +29,6 @@ class TestFeatureStore:
         assert int.from_bytes(data[10:12], "little") == 2    # P
         assert int.from_bytes(data[12:14], "little") == 51   # L
         assert len(data) == 14 + 2 * 51 * 4
-
-    def test_sidecar_index(self, tmp_path):
-        path = tmp_path / "x.doaf"
-        write_feature_store(path, [(0, np.zeros((2, 3))), (1, np.zeros((2, 3)))],
-                            {0: 0.0, 1: 0.17})
-        lines = (tmp_path / "x.doaf.idx").read_text().splitlines()
-        assert [line.split() for line in lines] == [["0", "0.000000"], ["1", "0.170000"]]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.doaf"
