@@ -122,10 +122,7 @@ def cmd_simulate(args):
 
 def cmd_features(args):
     ds = dataset_mod.FrameDataset.load(args.dataset)
-    gcc, vis = dataset_mod.extract_features(
-        ds, snr_db=args.snr, fdsp=args.fdsp,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    gcc, vis = dataset_mod.extract_features(ds, args.snr, args.fdsp, args.seed)
     os.makedirs(args.out, exist_ok=True)
     indices = [f.frame_index for f in ds.frames]
     write_feature_store(os.path.join(args.out, GCC_STORE), list(zip(indices, gcc)))
@@ -246,8 +243,7 @@ def cmd_baseline(args):
     ds = dataset_mod.FrameDataset.load(args.dataset)
     rows = _select_subset(len(ds), args.holdout, args.subset)
     subset = ds.subset(rows)
-    gcc, _ = dataset_mod.extract_features(subset, snr_db=args.snr,
-                                          seed=args.seed if args.seed is not None else 0)
+    gcc = dataset_mod.gcc_stack(subset, args.snr, args.seed)
     feature = audio_mod.GccFeature(gcc, *audio_mod.DEFAULT_LAGS, subset.audio.sample_rate)
     srp = audio_mod.srp_phat(feature, subset.array)
     summary = evaluation.score(srp, [f.azimuths for f in subset.frames],
@@ -282,7 +278,7 @@ def cmd_robustness(args):
                     else _parse_snr_levels(args.snr_levels)),
         fdsp_levels=(evaluation.FDSP_LEVELS if args.fdsp_levels is None
                      else _parse_fdsp_levels(args.fdsp_levels)),
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     os.makedirs(args.out, exist_ok=True)
     evaluation.write_grid_csv(grid, os.path.join(args.out, "robustness_grid.csv"))
@@ -304,13 +300,16 @@ def build_parser():
         prog="avdoa",
         description="multi-speaker DoA estimation with audio-visual fusion",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master random seed")
-    common.add_argument("--config", default=None, help="key = value config file")
-    common.add_argument("--out", required=True, help="output directory or file")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, help="output directory or file")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int, default=0, help="master random seed")
+    configured = argparse.ArgumentParser(add_help=False, parents=[out])
+    configured.add_argument("--seed", type=int, default=None, help="master random seed")
+    configured.add_argument("--config", default=None, help="key = value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[configured],
                        help="generate a synthetic dataset directory")
     p.add_argument("--frames", type=int, default=None)
     p.add_argument("--sources", dest="source_counts", default=None,
@@ -335,7 +334,7 @@ def build_parser():
     p.add_argument("--calibration", default=None, help="camera calibration file to use")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("features", parents=[common],
+    p = sub.add_parser("features", parents=[seeded],
                        help="extract GCC and visual feature stores")
     p.add_argument("--dataset", required=True)
     p.add_argument("--snr", type=float, default=None,
@@ -344,7 +343,7 @@ def build_parser():
                    help="fraction of frames whose detections get swapped")
     p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("train", parents=[common], help="train a model on features")
+    p = sub.add_parser("train", parents=[configured], help="train a model on features")
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True, choices=["avc", "avaw", "gcc_only"])
     p.add_argument("--epochs", type=int, default=None)
@@ -359,14 +358,14 @@ def build_parser():
                    help="trailing fraction of frames excluded from training")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint")
+    p = sub.add_parser("eval", parents=[out], help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--holdout", type=float, default=0.2)
     p.add_argument("--subset", default="holdout", choices=["holdout", "train", "all"])
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("robustness", parents=[common],
+    p = sub.add_parser("robustness", parents=[seeded],
                        help="SNR x FDSP degradation grid for a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
@@ -378,7 +377,7 @@ def build_parser():
     p.add_argument("--subset", default="holdout", choices=["holdout", "train", "all"])
     p.set_defaults(func=cmd_robustness)
 
-    p = sub.add_parser("baseline", parents=[common],
+    p = sub.add_parser("baseline", parents=[seeded],
                        help="SRP-PHAT baseline on a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--snr", type=float, default=None)

@@ -328,34 +328,33 @@ def _seed_list(seed):
     return [int(seed)]
 
 
-def extract_features(dataset, snr_db=None, fdsp=0.0, seed=0,
-                     lags=audio_mod.DEFAULT_LAGS, fft_len=None,
-                     feature_length=visual.FEATURE_LENGTH):
-    """Per-frame GCC and visual features, with optional test-time corruption.
-
-    Audio noise (``snr_db``) is applied to the whole signal before framing;
-    detection swapping (``fdsp``) reshuffles detection sets across frames.
-    Returns float64 arrays of shape (F, pairs, lags) and (F, 2, length).
-    """
-    seeds = _seed_list(seed)
+def gcc_stack(dataset, snr_db=None, seed=0):
+    """Per-frame GCC-PHAT, shape (F, pairs, lags), of audio noised to ``snr_db`` if given."""
     signal = dataset.audio
     if snr_db is not None:
-        signal = audio_mod.add_noise_at_snr(signal, snr_db, seed=seeds + [0])
+        signal = audio_mod.add_noise_at_snr(signal, snr_db, seed=_seed_list(seed) + [0])
+    n = dataset.frame_samples
+    rows = []
+    for record in dataset.frames:
+        segment = signal.samples[:, record.audio_offset:record.audio_offset + n]
+        frame = audio_mod.MultichannelAudio(np.asarray(segment, dtype=np.float64),
+                                            signal.sample_rate)
+        rows.append(audio_mod.gcc_feature(frame).values)
+    return np.stack(rows)
+
+
+def visual_stack(dataset, fdsp=0.0, seed=0):
+    """Per-frame visual features, shape (F, 2, length), after swapping a share ``fdsp``."""
     detections = dataset.detections
     if fdsp > 0.0:
-        detections = visual.swap_detections(detections, fdsp, seed=seeds + [1])
+        detections = visual.swap_detections(detections, fdsp, seed=_seed_list(seed) + [1])
     cal = dataset.calibration
-    gcc_rows = []
-    vis_rows = []
-    for record, det in zip(dataset.frames, detections):
-        segment = np.asarray(
-            signal.samples[:, record.audio_offset:record.audio_offset + dataset.frame_samples],
-            dtype=np.float64,
-        )
-        frame = audio_mod.MultichannelAudio(segment, signal.sample_rate)
-        gcc_rows.append(audio_mod.gcc_feature(frame, lags, fft_len).values)
-        vis_rows.append(visual.encode_visual(det, cal.width, cal.height, feature_length))
-    return np.stack(gcc_rows), np.stack(vis_rows)
+    return np.stack([visual.encode_visual(det, cal.width, cal.height) for det in detections])
+
+
+def extract_features(dataset, snr_db=None, fdsp=0.0, seed=0):
+    """``gcc_stack`` and ``visual_stack`` of a dataset, each with its own corruption."""
+    return gcc_stack(dataset, snr_db, seed), visual_stack(dataset, fdsp, seed)
 
 
 def feature_matrices(gcc, vis):
