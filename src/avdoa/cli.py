@@ -17,7 +17,8 @@ from . import audio as audio_mod
 from . import dataset as dataset_mod
 from . import evaluation, geom, nn
 from .errors import AvdoaError, ConfigError, NaNLoss
-from .store import read_feature_store, read_key_values, write_feature_store
+from .store import (json_field, json_numbers, read_feature_store, read_jsonl,
+                    read_key_values, write_feature_store)
 
 GCC_STORE = "gcc.doaf"
 VISUAL_STORE = "visual.doaf"
@@ -82,12 +83,17 @@ TRAIN_KEYS = (
     ("target_sigma_deg", "target_sigma_deg", float),
     ("seed", "seed", int),
 )
+# one --config file may serve both simulate and train
+CONFIG_KEYS = {key for _, key, _ in SIMULATE_KEYS + TRAIN_KEYS}
 
 
 def _configured(args, table):
     """Config dataclass keyword arguments set by a flag or, failing that, the
     --config file; a field set by neither keeps the dataclass default."""
     config_file = {} if args.config is None else dict(read_key_values(args.config))
+    unknown = sorted(set(config_file) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown keys {', '.join(unknown)}")
     values = {}
     for field, key, parse in table:
         if getattr(args, field) is not None:
@@ -147,12 +153,16 @@ def _read_store(features_dir, name, indices):
 
 def _load_features_dir(features_dir, need_visual=True):
     """(gcc, vis, azimuths, frame indices) of a features directory, in label order."""
-    with open(os.path.join(features_dir, LABELS_NAME), "r", encoding="utf-8") as fh:
-        labels = [json.loads(line) for line in fh if line.strip()]
-    indices = [int(record["frame_index"]) for record in labels]
+    path = os.path.join(features_dir, LABELS_NAME)
+    indices, azimuths = [], []
+    for lineno, record in read_jsonl(path):
+        where = f"{path}:{lineno}"
+        indices.append(json_field(record, "frame_index", int, where))
+        azimuths.append(json_numbers(json_field(record, "azimuths", list, where),
+                                     where, "'azimuths'"))
     gcc = _read_store(features_dir, GCC_STORE, indices)
     vis = _read_store(features_dir, VISUAL_STORE, indices) if need_visual else None
-    return gcc, vis, [record["azimuths"] for record in labels], indices
+    return gcc, vis, azimuths, indices
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ import numpy as np
 
 from . import audio as audio_mod
 from . import geom, visual
-from .errors import ConfigError, EmptyDataset
+from .errors import ConfigError, EmptyDataset, TooShort
 from .nn import TrainConfig, encode_target
+from .store import json_field, read_jsonl
 
 MANIFEST_NAME = "manifest.jsonl"
 _IN_FOV_TRIES = 1000
@@ -224,6 +225,35 @@ def simulate(config, out_dir, array=None, calibration=None):
     return out_dir
 
 
+def _read_frame(raw, where, array, frame_samples, n_samples):
+    """A manifest frame record, checked against the array and the WAV's length."""
+    index = json_field(raw, "frame_index", int, where)
+    if index < 0:
+        raise ConfigError(f"{where}: 'frame_index' must be >= 0")
+    sources = []
+    for src in json_field(raw, "active_sources", list, where):
+        if not isinstance(src, dict):
+            raise ConfigError(f"{where}: each active source must be a JSON object")
+        position = np.array([json_field(src, axis, float, where) for axis in "xyz"])
+        derived = geom.doa_from_position(position, array)
+        azimuth = float(json_field(src, "azimuth_deg", float, where, derived))
+        if abs(geom.wrap_degrees(azimuth - derived)) > 1e-6:
+            raise ConfigError(
+                f"{where}: frame {index} azimuth {azimuth} inconsistent "
+                f"with position (expected {derived:.8f})"
+            )
+        sources.append(SourceRecord(json_field(src, "id", int, where, len(sources)),
+                                    position, azimuth))
+    # plain annotation manifests may omit the offset; frames then sit back
+    # to back in the WAV
+    offset = json_field(raw, "audio_offset", int, where, index * frame_samples)
+    if offset < 0 or offset + frame_samples > n_samples:
+        raise TooShort(f"{where}: frame {index} needs samples {offset} to "
+                       f"{offset + frame_samples}, but the WAV has {n_samples}")
+    return FrameRecord(index, float(json_field(raw, "timestamp_s", float, where)),
+                       offset, tuple(sources))
+
+
 class FrameDataset:
     """A loaded dataset: frame records, detections and the shared audio."""
 
@@ -248,49 +278,33 @@ class FrameDataset:
     @classmethod
     def load(cls, dataset_dir):
         manifest = os.path.join(dataset_dir, MANIFEST_NAME)
-        with open(manifest, "r", encoding="utf-8") as fh:
-            lines = [line for line in fh if line.strip()]
-        if not lines:
+        records = read_jsonl(manifest)
+        lineno, header = next(records, (None, None))
+        if header is None:
             raise ConfigError(f"{manifest}: empty manifest")
-        header = json.loads(lines[0])
+        where = f"{manifest}:{lineno}"
         if header.get("format") != "avdoa-dataset":
-            raise ConfigError(f"{manifest}: not a dataset manifest")
-        array = geom.load_array_geometry(os.path.join(dataset_dir, header["array_file"]))
-        cal = geom.load_calibration(os.path.join(dataset_dir, header["calibration_file"]))
-        audio = audio_mod.load_wav(os.path.join(dataset_dir, header["audio_file"]))
-        if audio.sample_rate != header["sample_rate"]:
-            raise ConfigError(f"{manifest}: WAV sample rate disagrees with header")
-        detections = visual.load_detections(
-            os.path.join(dataset_dir, header["detections_file"])
-        )
-        frame_samples = int(header["frame_samples"])
+            raise ConfigError(f"{where}: not a dataset manifest")
+
+        def sidecar(key):
+            return os.path.join(dataset_dir, json_field(header, key, str, where))
+
+        array = geom.load_array_geometry(sidecar("array_file"))
+        cal = geom.load_calibration(sidecar("calibration_file"))
+        audio = audio_mod.load_wav(sidecar("audio_file"))
+        if audio.sample_rate != json_field(header, "sample_rate", int, where):
+            raise ConfigError(f"{where}: WAV sample rate disagrees with header")
+        detections = visual.load_detections(sidecar("detections_file"))
+        frame_samples = json_field(header, "frame_samples", int, where)
+        if frame_samples < 1:
+            raise ConfigError(f"{where}: 'frame_samples' must be positive")
         frames = []
-        previous = None
-        for line in lines[1:]:
-            raw = json.loads(line)
-            index = int(raw["frame_index"])
-            if previous is not None and index <= previous:
-                raise ConfigError(f"{manifest}: frame indices must strictly increase")
-            previous = index
-            sources = []
-            for src in raw.get("active_sources", raw.get("sources", [])):
-                position = np.array([src["x"], src["y"], src["z"]])
-                derived = geom.doa_from_position(position, array)
-                azimuth = float(src.get("azimuth_deg", derived))
-                if abs(geom.wrap_degrees(azimuth - derived)) > 1e-6:
-                    raise ConfigError(
-                        f"{manifest}: frame {index} azimuth {azimuth} inconsistent "
-                        f"with position (expected {derived:.8f})"
-                    )
-                sources.append(SourceRecord(int(src.get("id", len(sources))), position, azimuth))
-            frames.append(FrameRecord(
-                frame_index=index,
-                timestamp_s=float(raw["timestamp_s"]),
-                # plain annotation manifests may omit the offset; frames then
-                # sit back to back in the WAV
-                audio_offset=int(raw.get("audio_offset", index * frame_samples)),
-                sources=tuple(sources),
-            ))
+        for lineno, raw in records:
+            where = f"{manifest}:{lineno}"
+            frame = _read_frame(raw, where, array, frame_samples, audio.n_samples)
+            if frames and frame.frame_index <= frames[-1].frame_index:
+                raise ConfigError(f"{where}: frame indices must strictly increase")
+            frames.append(frame)
         detections_by_index = {d.frame_index: d for d in detections}
         try:
             aligned = [detections_by_index[r.frame_index] for r in frames]

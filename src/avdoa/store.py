@@ -1,4 +1,5 @@
-"""Binary per-frame feature container, and the reader of both binary formats.
+"""Binary per-frame feature container, the reader of both binary formats,
+and checked readers of the text formats (key = value, JSON lines).
 
 Layout: magic "DOAF", version u16, then one or more records, one per
 frame, of {frame_index u32, P u16, L u16, P*L float32 values}, all
@@ -6,6 +7,7 @@ little-endian.  The frame indices tie a store to the other files of its
 features directory; the CLI checks that they agree.
 """
 
+import json
 import math
 import struct
 
@@ -33,6 +35,63 @@ def read_key_values(path):
             key, value = line.split("=", 1)
             entries.append((key.strip(), value.strip()))
     return entries
+
+
+def read_jsonl(path):
+    """Yield (line number, record) for each non-blank line of a JSON-lines file.
+
+    A line that is not JSON, or not a JSON object, raises ConfigError
+    naming the file and the line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}:{lineno}: column {exc.colno}: {exc.msg}") from exc
+            if not isinstance(record, dict):
+                raise ConfigError(f"{path}:{lineno}: expected a JSON object")
+            yield lineno, record
+
+
+# what each kind of JSON field accepts: an int is a number, a bool is neither
+_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+          str: ((str,), "a string"), list: ((list,), "a list")}
+_REQUIRED = object()
+
+
+def _is(value, kind):
+    types, _ = _KINDS[kind]
+    return (isinstance(value, types) and not isinstance(value, bool)
+            and (kind is not float or math.isfinite(value)))
+
+
+def json_field(record, key, kind, where, default=_REQUIRED):
+    """``record[key]``, which must be of ``kind`` (int, float, str or list).
+
+    A float field takes any finite int or float.  A missing key gives
+    ``default`` when one is passed; otherwise it, like a value of the wrong
+    kind, raises ConfigError prefixed with ``where``.
+    """
+    if key not in record:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: missing key {key!r}")
+        return default
+    if not _is(record[key], kind):
+        raise ConfigError(f"{where}: {key!r} must be {_KINDS[kind][1]}")
+    return record[key]
+
+
+def json_numbers(values, where, what, length=None):
+    """``values`` as floats; it must be a list of ``length`` (any, if None) numbers."""
+    if (not isinstance(values, list) or not all(_is(v, float) for v in values)
+            or length not in (None, len(values))):
+        count = "" if length is None else f"{length} "
+        raise ConfigError(f"{where}: {what} must be a list of {count}numbers")
+    return [float(v) for v in values]
 
 
 class Reader:

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyDataset
+from .errors import ConfigError, EmptyDataset
 from .geom import BoundingBox
+from .store import json_field, json_numbers, read_jsonl
 
 FEATURE_LENGTH = 51
 
@@ -115,12 +116,13 @@ def save_detections(frames, path):
 
 def load_detections(path):
     frames = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            boxes = tuple(BoundingBox(*values) for values in record["boxes"])
-            frames.append(DetectionFrame(int(record["frame_index"]), boxes))
+    for lineno, record in read_jsonl(path):
+        where = f"{path}:{lineno}"
+        values = [json_numbers(box, where, "each box", 4)
+                  for box in json_field(record, "boxes", list, where)]
+        try:
+            boxes = tuple(BoundingBox(*box) for box in values)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        frames.append(DetectionFrame(json_field(record, "frame_index", int, where), boxes))
     return frames

@@ -1,0 +1,28 @@
+"""The benchmark's ``simulate`` round, at full size, checked at several seeds.
+
+The benchmark's own self-tests run each workload at one seed and a tiny
+size.  This runs one full-size ``simulate`` round (simulate, features and
+baseline on a new 200-frame scene) and the benchmark's checks of it at
+seeds 0-4, so a fault that shows at some seeds only fails here too.
+``benchmark/workloads.py`` is imported as it is.
+"""
+
+import os
+import sys
+
+import pytest
+
+import avdoa
+import avdoa.cli  # noqa: F401
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "benchmark"))
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_simulate_round_passes_the_benchmark_checks(seed, tmp_path):
+    workload = workloads.Simulate(seed, "full", workloads.checked_cli(avdoa))
+    workload.build(str(tmp_path))
+    workload.run_round(str(tmp_path / "round0"))
+    workload.check(str(tmp_path / "round0"), avdoa)

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from avdoa import cli, evaluation, nn
+from avdoa import audio, cli, evaluation, nn, visual
 from avdoa.cli import main
 from avdoa.errors import ConfigError
 from avdoa.store import read_feature_store, write_feature_store
@@ -97,6 +97,32 @@ class TestConfigTables:
         cfg.write_text("frames = many\n")
         assert run("simulate", "--out", tmp_path / "ds", "--config", cfg) == 2
         assert not (tmp_path / "ds").exists()
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["features", "--dataset", "d", "--config", "c"],
+        ["eval", "--checkpoint", "m", "--features", "f", "--config", "c"],
+        ["robustness", "--checkpoint", "m", "--dataset", "d", "--config", "c"],
+        ["baseline", "--dataset", "d", "--config", "c"],
+        ["eval", "--checkpoint", "m", "--features", "f", "--seed", "1"],
+    ], ids=["features-config", "eval-config", "robustness-config", "baseline-config",
+            "eval-seed"])
+    def test_options_a_command_does_not_use_are_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", "o")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("frmaes = 12\nepochs = 3\nvisibilty = 1\n")
+        assert run("simulate", "--out", tmp_path / "ds", "--config", cfg) == 2
+        assert run("train", "--features", tmp_path / "f", "--model", "avc",
+                   "--config", cfg, "--out", tmp_path / "m.doam") == 2
+        assert not (tmp_path / "ds").exists() and not (tmp_path / "m.doam").exists()
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == [f"error: {cfg}: unknown keys frmaes, visibilty"] * 2
 
 
 class TestFeatures:
@@ -281,6 +307,112 @@ class TestFeaturesDirectoryCheck:
         self._assert_refused(feats, avc, "visual.doaf", tmp_path, capsys)
 
 
+def _edit_record(path, line, change):
+    """Apply ``change`` to the JSON record on 0-based ``line`` of a JSON-lines file."""
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[line])
+    change(record)
+    lines[line] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _replace_line(path, line, text):
+    lines = path.read_text().splitlines()
+    lines[line] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _cut_wav(ds):
+    wav = audio.load_wav(ds / "audio.wav")
+    audio.save_wav(ds / "audio.wav", audio.MultichannelAudio(
+        wav.samples[:, :-4000], wav.sample_rate))
+
+
+# (directory, file, edit of that file, the file:line the error must name)
+MALFORMED = {
+    "labels_without_azimuths": (
+        "feats", "labels.jsonl",
+        lambda p: _edit_record(p, 0, lambda r: r.pop("azimuths")), "labels.jsonl:1:"),
+    "labels_azimuth_not_a_number": (
+        "feats", "labels.jsonl",
+        lambda p: _edit_record(p, 2, lambda r: r.update(azimuths=["north"])), "labels.jsonl:3:"),
+    "labels_bad_json": (
+        "feats", "labels.jsonl", lambda p: _replace_line(p, 4, "{oops"), "labels.jsonl:5:"),
+    "manifest_without_timestamp": (
+        "ds", "manifest.jsonl",
+        lambda p: _edit_record(p, 2, lambda r: r.pop("timestamp_s")), "manifest.jsonl:3:"),
+    "header_without_frame_samples": (
+        "ds", "manifest.jsonl",
+        lambda p: _edit_record(p, 0, lambda r: r.pop("frame_samples")), "manifest.jsonl:1:"),
+    "manifest_bad_json": (
+        "ds", "manifest.jsonl", lambda p: _replace_line(p, 3, '{"frame_index": 2,'),
+        "manifest.jsonl:4:"),
+    "manifest_record_not_an_object": (
+        "ds", "manifest.jsonl", lambda p: _replace_line(p, 3, "[2, 0.34]"),
+        "manifest.jsonl:4:"),
+    "manifest_sources_alias": (
+        "ds", "manifest.jsonl",
+        lambda p: _edit_record(p, 1, lambda r: r.update(sources=r.pop("active_sources"))),
+        "manifest.jsonl:2:"),
+    "source_without_z": (
+        "ds", "manifest.jsonl",
+        lambda p: _edit_record(p, 1, lambda r: r["active_sources"][0].pop("z")),
+        "manifest.jsonl:2:"),
+    "source_coordinate_is_bool": (
+        "ds", "manifest.jsonl",
+        lambda p: _edit_record(p, 1, lambda r: r["active_sources"][0].update(x=True)),
+        "manifest.jsonl:2:"),
+    "frame_index_is_float": (
+        "ds", "manifest.jsonl",
+        lambda p: _edit_record(p, 1, lambda r: r.update(frame_index=0.5)), "manifest.jsonl:2:"),
+    "detections_without_boxes": (
+        "ds", "detections.jsonl",
+        lambda p: _edit_record(p, 1, lambda r: r.pop("boxes")), "detections.jsonl:2:"),
+    "box_of_three_numbers": (
+        "ds", "detections.jsonl",
+        lambda p: _edit_record(p, 1, lambda r: r.update(boxes=[[1.0, 2.0, 3.0]])),
+        "detections.jsonl:2:"),
+    "negative_audio_offset": (
+        "ds", "manifest.jsonl",
+        lambda p: _edit_record(p, 1, lambda r: r.update(audio_offset=-1)),
+        "manifest.jsonl:2: frame 0 "),
+    "wav_cut_short": (
+        "ds", "audio.wav", lambda p: _cut_wav(p.parent), "manifest.jsonl:21: frame 19 "),
+}
+
+
+class TestMalformedInputs:
+    """Each malformed dataset or features file ends the commands that read it
+    with exit 2 and one error line naming the file (and line), writing nothing."""
+
+    @pytest.fixture(scope="class")
+    def small(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("small")
+        assert run("simulate", "--out", root / "ds", "--frames", 20, "--seed", 1,
+                   "--source-kind", "white") == 0
+        assert run("features", "--dataset", root / "ds", "--out", root / "feats") == 0
+        return root
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_2_naming_the_place(self, case, small, tmp_path, capsys):
+        directory, name, edit, place = MALFORMED[case]
+        shutil.copytree(small / directory, tmp_path / directory)
+        edit(tmp_path / directory / name)
+        if directory == "ds":
+            commands = [("features", "--dataset", tmp_path / "ds"),
+                        ("baseline", "--dataset", tmp_path / "ds")]
+        else:
+            commands = [("train", "--features", tmp_path / "feats", "--model", "gcc_only",
+                         "--widths", "8,8,8", "--epochs", 1)]
+        capsys.readouterr()
+        for argv in commands:
+            assert run(*argv, "--out", tmp_path / "out") == 2
+            assert not (tmp_path / "out").exists()
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == len(commands)
+        assert all(line.startswith("error: ") and place in line for line in errors)
+
+
 class TestRobustnessCommand:
     def test_small_grid(self, pipeline, tmp_path):
         _, ds, _, ckpt = pipeline
@@ -319,6 +451,17 @@ class TestBaselineCommand:
         header, values = (out / "baseline_summary.csv").read_text().strip().splitlines()
         cells = dict(zip(header.split(","), values.split(",")))
         assert float(cells["acc_overall"]) > 90.0
+
+    def test_computes_no_visual_features(self, pipeline, tmp_path, monkeypatch):
+        _, ds, _, _ = pipeline
+        calls = []
+        encode = visual.encode_visual
+        monkeypatch.setattr(visual, "encode_visual",
+                            lambda *a, **k: calls.append(1) or encode(*a, **k))
+        assert run("baseline", "--dataset", ds, "--snr", 10, "--out", tmp_path / "base") == 0
+        assert calls == []
+        assert run("features", "--dataset", ds, "--out", tmp_path / "feats") == 0
+        assert len(calls) == 160
 
 
 class TestThreeMicArray:

@@ -83,6 +83,27 @@ class TestSimulate:
         assert (a / "manifest.jsonl").read_text() == (b / "manifest.jsonl").read_text()
         assert (a / "detections.jsonl").read_text() == (b / "detections.jsonl").read_text()
 
+    def test_optional_keys_may_be_omitted(self, tmp_path):
+        # audio_offset defaults to back-to-back frames, id to the source's
+        # position in the record, azimuth_deg to the one the position gives
+        out = tmp_path / "ds"
+        dataset.simulate(small_config(frames=5, source_counts={2: 1.0}), out)
+        full = dataset.FrameDataset.load(out)
+        manifest = out / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        for i in range(1, len(lines)):
+            record = json.loads(lines[i])
+            del record["audio_offset"]
+            for src in record["active_sources"]:
+                del src["id"], src["azimuth_deg"]
+            lines[i] = json.dumps(record)
+        manifest.write_text("\n".join(lines) + "\n")
+        bare = dataset.FrameDataset.load(out)
+        for a, b in zip(full.frames, bare.frames):
+            assert a.audio_offset == b.audio_offset
+            assert [s.source_id for s in a.sources] == [s.source_id for s in b.sources]
+            assert np.allclose(a.azimuths, b.azimuths, atol=1e-6)
+
     def test_inconsistent_azimuth_rejected(self, tmp_path):
         out = tmp_path / "ds"
         dataset.simulate(small_config(frames=3), out)
@@ -114,18 +135,29 @@ class TestExtractFeatures:
         a = dataset.extract_features(ds)
         b = dataset.extract_features(ds)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert np.array_equal(dataset.gcc_stack(ds), a[0])
+        assert np.array_equal(dataset.visual_stack(ds), a[1])
 
     def test_snr_changes_audio_only(self, ds):
         clean = dataset.extract_features(ds)
-        noisy = dataset.extract_features(ds, snr_db=0.0, seed=1)
-        assert not np.array_equal(clean[0], noisy[0])
-        assert np.array_equal(clean[1], noisy[1])
+        for seed in (1, [1, 2]):
+            noisy = dataset.extract_features(ds, snr_db=0.0, seed=seed)
+            assert not np.array_equal(clean[0], noisy[0])
+            assert np.array_equal(clean[1], noisy[1])
+            # the two stacks are the halves, bit for bit, at the same seed
+            assert np.array_equal(dataset.gcc_stack(ds, 0.0, seed), noisy[0])
+            assert np.array_equal(dataset.visual_stack(ds, 0.0, seed), noisy[1])
+        assert not np.array_equal(dataset.gcc_stack(ds, 0.0, 1),
+                                  dataset.gcc_stack(ds, 0.0, [1, 2]))
 
     def test_fdsp_changes_visual_only(self, ds):
         clean = dataset.extract_features(ds)
-        swapped = dataset.extract_features(ds, fdsp=0.5, seed=1)
-        assert np.array_equal(clean[0], swapped[0])
-        assert not np.array_equal(clean[1], swapped[1])
+        for seed in (1, [1, 2]):
+            swapped = dataset.extract_features(ds, fdsp=0.5, seed=seed)
+            assert np.array_equal(clean[0], swapped[0])
+            assert not np.array_equal(clean[1], swapped[1])
+            assert np.array_equal(dataset.gcc_stack(ds, None, seed), swapped[0])
+            assert np.array_equal(dataset.visual_stack(ds, 0.5, seed), swapped[1])
 
     def test_feature_matrices(self, ds):
         gcc, vis = dataset.extract_features(ds)

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from avdoa.errors import BadMagic, TruncatedFile, VersionMismatch
-from avdoa.store import read_feature_store, write_feature_store
+from avdoa.errors import BadMagic, ConfigError, TruncatedFile, VersionMismatch
+from avdoa.store import (json_field, json_numbers, read_feature_store, read_jsonl,
+                         write_feature_store)
 
 
 class TestFeatureStore:
@@ -72,3 +75,37 @@ class TestFeatureStore:
         write_feature_store(a, frames)
         write_feature_store(b, frames)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestJsonLines:
+    def test_records_and_line_numbers(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": 1}\n\n  \n{"b": [2.5]}\n')
+        assert list(read_jsonl(path)) == [(1, {"a": 1}), (4, {"b": [2.5]})]
+
+    @pytest.mark.parametrize("text", ['{"a": 1,}', "[1, 2]", "3", "null"])
+    def test_bad_line_names_file_and_line(self, tmp_path, text):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": 1}\n' + text + "\n")
+        with pytest.raises(ConfigError, match="^" + re.escape(f"{path}:2: ")):
+            list(read_jsonl(path))
+
+    def test_field_kinds(self):
+        record = {"i": 3, "f": 2.5, "b": True, "s": "x", "l": [1], "n": float("nan")}
+        assert json_field(record, "i", int, "w") == 3
+        assert json_field(record, "i", float, "w") == 3        # an int is a number
+        assert json_field(record, "f", float, "w") == 2.5
+        assert json_field(record, "s", str, "w") == "x"
+        assert json_field(record, "missing", int, "w", 7) == 7
+        for key, kind in (("f", int), ("b", int), ("b", float), ("n", float),
+                          ("s", float), ("l", str), ("i", list), ("missing", int)):
+            with pytest.raises(ConfigError, match="^w: "):
+                json_field(record, key, kind, "w")
+
+    def test_numbers(self):
+        assert json_numbers([1, 2.5, -3, 0], "w", "box", 4) == [1.0, 2.5, -3.0, 0.0]
+        assert json_numbers([], "w", "azimuths") == []
+        for values in ([1, 2, 3], [1, 2, 3, True], [1, 2, 3, "4"], "1234", None,
+                       [1, 2, 3, float("inf")]):
+            with pytest.raises(ConfigError, match="^w: box must be a list of 4 numbers"):
+                json_numbers(values, "w", "box", 4)
