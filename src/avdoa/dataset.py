@@ -228,8 +228,8 @@ def simulate(config, out_dir, array=None, calibration=None):
 def _read_frame(raw, where, array, frame_samples, n_samples):
     """A manifest frame record, checked against the array and the WAV's length."""
     index = json_field(raw, "frame_index", int, where)
-    if index < 0:
-        raise ConfigError(f"{where}: 'frame_index' must be >= 0")
+    if not 0 <= index < 2**32:      # feature stores keep it as a u32
+        raise ConfigError(f"{where}: 'frame_index' must lie in [0, 2**32)")
     sources = []
     for src in json_field(raw, "active_sources", list, where):
         if not isinstance(src, dict):
@@ -244,6 +244,8 @@ def _read_frame(raw, where, array, frame_samples, n_samples):
             )
         sources.append(SourceRecord(json_field(src, "id", int, where, len(sources)),
                                     position, azimuth))
+    if not sources:
+        raise ConfigError(f"{where}: 'active_sources' is empty")
     # plain annotation manifests may omit the offset; frames then sit back
     # to back in the WAV
     offset = json_field(raw, "audio_offset", int, where, index * frame_samples)

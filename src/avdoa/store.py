@@ -65,8 +65,12 @@ _REQUIRED = object()
 
 def _is(value, kind):
     types, _ = _KINDS[kind]
-    return (isinstance(value, types) and not isinstance(value, bool)
-            and (kind is not float or math.isfinite(value)))
+    if isinstance(value, bool) or not isinstance(value, types):
+        return False
+    try:
+        return kind is not float or math.isfinite(value)
+    except OverflowError:       # an integer beyond the float range
+        return False
 
 
 def json_field(record, key, kind, where, default=_REQUIRED):

@@ -365,6 +365,17 @@ MALFORMED = {
     "frame_index_is_float": (
         "ds", "manifest.jsonl",
         lambda p: _edit_record(p, 1, lambda r: r.update(frame_index=0.5)), "manifest.jsonl:2:"),
+    "frame_index_beyond_u32": (
+        "ds", "manifest.jsonl",
+        lambda p: _edit_record(p, 20, lambda r: r.update(frame_index=2**32)),
+        "manifest.jsonl:21:"),
+    "no_active_source": (
+        "ds", "manifest.jsonl",
+        lambda p: _edit_record(p, 1, lambda r: r.update(active_sources=[])), "manifest.jsonl:2:"),
+    "integer_beyond_float_range": (
+        "ds", "manifest.jsonl",
+        lambda p: _edit_record(p, 1, lambda r: r.update(timestamp_s=10**400)),
+        "manifest.jsonl:2:"),
     "detections_without_boxes": (
         "ds", "detections.jsonl",
         lambda p: _edit_record(p, 1, lambda r: r.pop("boxes")), "detections.jsonl:2:"),

@@ -91,14 +91,16 @@ class TestJsonLines:
             list(read_jsonl(path))
 
     def test_field_kinds(self):
-        record = {"i": 3, "f": 2.5, "b": True, "s": "x", "l": [1], "n": float("nan")}
+        record = {"i": 3, "f": 2.5, "b": True, "s": "x", "l": [1], "n": float("nan"),
+                  "huge": 10**400}
         assert json_field(record, "i", int, "w") == 3
         assert json_field(record, "i", float, "w") == 3        # an int is a number
         assert json_field(record, "f", float, "w") == 2.5
         assert json_field(record, "s", str, "w") == "x"
         assert json_field(record, "missing", int, "w", 7) == 7
         for key, kind in (("f", int), ("b", int), ("b", float), ("n", float),
-                          ("s", float), ("l", str), ("i", list), ("missing", int)):
+                          ("s", float), ("l", str), ("i", list), ("missing", int),
+                          ("huge", float)):
             with pytest.raises(ConfigError, match="^w: "):
                 json_field(record, key, kind, "w")
 
