@@ -160,6 +160,8 @@ def _load_features_dir(features_dir, need_visual=True):
         indices.append(json_field(record, "frame_index", int, where))
         azimuths.append(json_numbers(json_field(record, "azimuths", list, where),
                                      where, "'azimuths'"))
+        if not azimuths[-1]:
+            raise ConfigError(f"{where}: 'azimuths' is empty")
     gcc = _read_store(features_dir, GCC_STORE, indices)
     vis = _read_store(features_dir, VISUAL_STORE, indices) if need_visual else None
     return gcc, vis, azimuths, indices

@@ -116,13 +116,18 @@ def save_detections(frames, path):
 
 def load_detections(path):
     frames = []
+    seen = set()
     for lineno, record in read_jsonl(path):
         where = f"{path}:{lineno}"
+        index = json_field(record, "frame_index", int, where)
+        if index in seen:
+            raise ConfigError(f"{where}: a second record for frame {index}")
+        seen.add(index)
         values = [json_numbers(box, where, "each box", 4)
                   for box in json_field(record, "boxes", list, where)]
         try:
             boxes = tuple(BoundingBox(*box) for box in values)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        frames.append(DetectionFrame(json_field(record, "frame_index", int, where), boxes))
+        frames.append(DetectionFrame(index, boxes))
     return frames

@@ -336,6 +336,9 @@ MALFORMED = {
     "labels_azimuth_not_a_number": (
         "feats", "labels.jsonl",
         lambda p: _edit_record(p, 2, lambda r: r.update(azimuths=["north"])), "labels.jsonl:3:"),
+    "labels_without_a_source": (
+        "feats", "labels.jsonl",
+        lambda p: _edit_record(p, 0, lambda r: r.update(azimuths=[])), "labels.jsonl:1:"),
     "labels_bad_json": (
         "feats", "labels.jsonl", lambda p: _replace_line(p, 4, "{oops"), "labels.jsonl:5:"),
     "manifest_without_timestamp": (
@@ -379,6 +382,10 @@ MALFORMED = {
     "detections_without_boxes": (
         "ds", "detections.jsonl",
         lambda p: _edit_record(p, 1, lambda r: r.pop("boxes")), "detections.jsonl:2:"),
+    "detections_frame_twice": (
+        "ds", "detections.jsonl",
+        lambda p: p.write_text(p.read_text() + p.read_text().splitlines()[0] + "\n"),
+        "detections.jsonl:21:"),
     "box_of_three_numbers": (
         "ds", "detections.jsonl",
         lambda p: _edit_record(p, 1, lambda r: r.update(boxes=[[1.0, 2.0, 3.0]])),
