@@ -3,7 +3,8 @@
 The benchmark's own self-tests run each workload at one seed and a tiny
 size.  This runs one full-size ``simulate`` round (simulate, features and
 baseline on a new 200-frame scene) and the benchmark's checks of it at
-seeds 0-4, so a fault that shows at some seeds only fails here too.
+seeds 0-4, so a fault that shows at some seeds only fails here too.  As
+in a benchmark run, a second round must write the first round's bytes.
 ``benchmark/workloads.py`` is imported as it is.
 """
 
@@ -26,3 +27,12 @@ def test_simulate_round_passes_the_benchmark_checks(seed, tmp_path):
     workload.build(str(tmp_path))
     workload.run_round(str(tmp_path / "round0"))
     workload.check(str(tmp_path / "round0"), avdoa)
+
+
+def test_a_second_simulate_round_writes_the_same_bytes(tmp_path):
+    workload = workloads.Simulate(0, "full", workloads.checked_cli(avdoa))
+    workload.build(str(tmp_path))
+    for k in range(2):
+        workload.run_round(str(tmp_path / f"round{k}"))
+    assert workload.fingerprint(str(tmp_path / "round1")) == \
+        workload.fingerprint(str(tmp_path / "round0"))

@@ -1,19 +1,23 @@
 """Golden SHA-256 digests of the named outputs of an 80-frame seeded pipeline.
 
-simulate -> features -> train (avaw, 16^3) -> eval -> robustness (2 x 2)
--> baseline at 10 dB, plus the lines eval, robustness and baseline print.
-A change that moves any digest changes numbers or bytes and must say why.
-The checkpoint and everything scored with it also depend on the BLAS
-build's summation order.
+simulate -> features (clean, and at 0 dB SNR with 30 % FDSP) -> train
+(avaw, 16^3) -> eval -> robustness (2 x 2) -> baseline at 10 dB, plus the
+lines eval, robustness and baseline print.  A change that moves any digest
+changes numbers or bytes and must say why.
+
+The trained checkpoint, and so everything scored with it, depends on the
+BLAS summation order, which changes with the BLAS thread count.  Each
+command therefore runs in a child process with BLAS held to one thread.
 """
 
-import contextlib
 import hashlib
-import io
+import os
+import subprocess
+import sys
 
 import pytest
 
-from avdoa.cli import main
+import avdoa
 
 GOLDEN = {
     "ds/audio.wav":
@@ -24,8 +28,12 @@ GOLDEN = {
         "2621d6c184314206f0c91995a5222b4165ba8688464e2282584447d4b059e1c9",
     "feats/visual.doaf":
         "a21e1015ada9e6b96ef89fe264e6aca47ccff539dbe241781a48be1c6d17e0f1",
+    "noisy/gcc.doaf":
+        "2d4ed26ab6e4afbdde18783d1e543f7e9c3c19c0bb5e1fc8e62be632198e209d",
+    "noisy/visual.doaf":
+        "cbc796119e0edc8e05edad6e55bf57fa84859539a5c97c5ded32a244392405fb",
     "avaw.doam":
-        "a512dc0da08a951860d5fadbcae29803a14d4f5f368845dbf202b7a921307d79",
+        "4abd3907d237322a53813fc28500d633f405d23bd03da26dfd77360e46128c22",
     "eval/results.jsonl":
         "1ea04318419c2f5512f3fbfe4fdf56054a597526d653781ae84af2fe5a86e70c",
     "eval/summary.csv":
@@ -51,15 +59,21 @@ GOLDEN = {
 def outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
 
+    src = os.path.dirname(os.path.dirname(os.path.abspath(avdoa.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
     def run(name, *argv):
-        printed = io.StringIO()
-        with contextlib.redirect_stdout(printed):
-            assert main([str(a) for a in argv]) == 0
-        (root / f"{name}.stdout").write_text(printed.getvalue())
+        done = subprocess.run([sys.executable, "-m", "avdoa.cli", *map(str, argv)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        (root / f"{name}.stdout").write_text(done.stdout)
 
     run("ds", "simulate", "--out", root / "ds", "--frames", 80, "--seed", 5,
         "--sources", "1:0.5,2:0.5", "--visibility", "0.5")
     run("feats", "features", "--dataset", root / "ds", "--out", root / "feats")
+    run("noisy", "features", "--dataset", root / "ds", "--out", root / "noisy",
+        "--snr", 0, "--fdsp", 0.3, "--seed", 2)
     run("train", "train", "--features", root / "feats", "--model", "avaw",
         "--widths", "16,16,16", "--epochs", 3, "--seed", 2, "--out", root / "avaw.doam")
     run("eval", "eval", "--checkpoint", root / "avaw.doam", "--features", root / "feats",
