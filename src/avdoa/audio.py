@@ -39,30 +39,20 @@ _SYLLABLE_RATE_HZ = 3.0
 
 
 @dataclass(frozen=True)
-class MonoSignal:
-    samples: np.ndarray      # (n,) float64
-    sample_rate: int
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float).reshape(-1)
-        object.__setattr__(self, "samples", s)
-        if self.sample_rate <= 0:
-            raise ValueError("sample rate must be positive")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("signal contains non-finite samples")
-
-
-@dataclass(frozen=True)
 class MultichannelAudio:
-    """C equal-length channels; also used for single analysis frames."""
+    """C equal-length channels: a recording, one analysis frame or a mono source.
 
-    samples: np.ndarray      # (C, T) float64
+    The float array is kept as given, without a copy, so a float32 WAV stays
+    float32 in memory; GCC-PHAT and the noise power compute in float64.
+    """
+
+    samples: np.ndarray      # (C, T) float32 or float64
     sample_rate: int
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        if s.ndim != 2:
-            raise ValueError("samples must be a (channels, time) array")
+        s = np.asarray(self.samples)
+        if s.ndim != 2 or s.dtype.kind != "f":
+            raise ValueError("samples must be a (channels, time) float array")
         object.__setattr__(self, "samples", s)
         if self.sample_rate <= 0:
             raise ValueError("sample rate must be positive")
@@ -93,7 +83,7 @@ class GccFeature:
 
 
 def synth_source(kind, duration_s, sample_rate, seed=None, wav_path=None):
-    """Generate (or load) a mono test source, deterministic per seed.
+    """Generate (or load) a one-channel test source, deterministic per seed.
 
     kind:
       * "white"          unit-variance white Gaussian noise
@@ -107,7 +97,7 @@ def synth_source(kind, duration_s, sample_rate, seed=None, wav_path=None):
     n = int(round(duration_s * sample_rate))
     rng = np.random.default_rng(seed)
     if kind == "white":
-        return MonoSignal(rng.standard_normal(n), sample_rate)
+        return MultichannelAudio(rng.standard_normal((1, n)), sample_rate)
     if kind == "speech_like_ar":
         from scipy.signal import lfilter
 
@@ -119,7 +109,7 @@ def synth_source(kind, duration_s, sample_rate, seed=None, wav_path=None):
         rms = np.sqrt(np.mean(x**2))
         if rms > 0:
             x = x / rms
-        return MonoSignal(x, sample_rate)
+        return MultichannelAudio(x[None, :], sample_rate)
     if kind == "wav_file":
         if wav_path is None:
             raise ValueError("wav_file kind needs wav_path")
@@ -130,12 +120,12 @@ def synth_source(kind, duration_s, sample_rate, seed=None, wav_path=None):
             )
         if audio.n_samples < n:
             raise TooShort(f"{wav_path}: {audio.n_samples} samples < {n} requested")
-        return MonoSignal(audio.samples[0, :n].copy(), sample_rate)
+        return MultichannelAudio(audio.samples[:1, :n], sample_rate)
     raise ValueError(f"unknown source kind {kind!r}")
 
 
 def render_array(sources, array):
-    """Far-field render of (MonoSignal, azimuth_deg) sources to all mics.
+    """Far-field render of (one-channel audio, azimuth_deg) sources to all mics.
 
     Each mic m receives the source delayed by -(d_m . u(az)) / c where d_m
     is the mic offset in the array frame and u(az) the unit direction
@@ -151,7 +141,7 @@ def render_array(sources, array):
             raise SampleRateMismatch("all sources must share one sample rate")
         if not -180.0 <= az < 180.0:
             raise ValueError(f"azimuth {az} outside [-180, 180)")
-    n = max(sig.samples.size for sig, _ in sources)
+    n = max(sig.n_samples for sig, _ in sources)
     positions = array.positions
     pad = int(np.ceil(fs * np.linalg.norm(positions, axis=1).max()
                       / array.speed_of_sound)) + 1
@@ -163,7 +153,7 @@ def render_array(sources, array):
         direction = np.array([np.cos(theta), np.sin(theta), 0.0])
         delays = -(positions @ direction) * fs / array.speed_of_sound
         x = np.zeros(n_pad)
-        x[pad:pad + sig.samples.size] = sig.samples
+        x[pad:pad + sig.n_samples] = sig.samples[0]
         spectrum = np.fft.rfft(x)
         shifted = spectrum[None, :] * np.exp(-2j * np.pi * freqs[None, :] * delays[:, None])
         out += np.fft.irfft(shifted, n=n_pad, axis=1)[:, pad:pad + n]
@@ -175,8 +165,9 @@ def add_noise_at_snr(audio, snr_db, seed=None):
 
     Independent noise per channel; the scale is computed from the realized
     noise power, so the output power ratio matches the request exactly.
+    The signal power is summed in float64 whatever the samples' dtype.
     """
-    power = float(np.mean(audio.samples**2))
+    power = float(np.mean(np.square(audio.samples, dtype=np.float64)))
     if power <= 0:
         raise SilentSignal("cannot set an SNR on an all-zero signal")
     rng = np.random.default_rng(seed)
@@ -216,7 +207,8 @@ def _gcc_rows(samples, lags, fft_len):
         fft_len = 1 << int(np.ceil(np.log2(max(samples.shape[1], 2))))
     if fft_len < samples.shape[1]:
         raise ValueError("fft_len must be at least the frame length")
-    spectra = np.fft.rfft(samples, fft_len, axis=1)
+    # float64 here: numpy transforms float32 input in single precision
+    spectra = np.fft.rfft(np.asarray(samples, dtype=np.float64), fft_len, axis=1)
     weights, n_bins = _whitened_cross_spectrum(spectra, fft_len)
     cc = np.fft.irfft(weights, fft_len, axis=-1)
     idx = np.arange(lag_min, lag_max + 1) % fft_len
@@ -232,8 +224,8 @@ def gcc_phat_pair(frame_l, frame_p, lags=DEFAULT_LAGS, fft_len=None):
     DC and (for even ``fft_len``) Nyquist when kept.  So gcc_phat_pair(x, x)
     peaks at exactly 1.0 at lag 0.  Output is ordered lag_min..lag_max.
     """
-    x_l = np.asarray(frame_l, dtype=float).reshape(-1)
-    x_p = np.asarray(frame_p, dtype=float).reshape(-1)
+    x_l = np.asarray(frame_l).reshape(-1)
+    x_p = np.asarray(frame_p).reshape(-1)
     if x_l.size != x_p.size:
         raise ValueError("frames must have equal length")
     return _gcc_rows(np.stack([x_l, x_p]), lags, fft_len)[0]
@@ -303,6 +295,10 @@ def decode_srp(srp_map, n_sources, min_separation_deg=10.0):
 # ---------------------------------------------------------------------------
 
 def load_wav(path):
+    """(C, T) audio of a WAV file: float data as stored, PCM scaled to [-1, 1).
+
+    Non-finite samples raise BadWav.
+    """
     try:
         rate, data = wavfile.read(path)
     except FileNotFoundError:
@@ -310,19 +306,16 @@ def load_wav(path):
     except Exception as exc:
         raise BadWav(f"{path}: {exc}") from exc
     if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
+        data = data.astype(np.float64) / 32768.0
     elif data.dtype == np.int32:
-        samples = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
+        data = data.astype(np.float64) / 2147483648.0
+    elif data.dtype not in (np.float32, np.float64):
         raise BadWav(f"{path}: unsupported sample format {data.dtype}")
-    if samples.ndim == 1:
-        samples = samples[None, :]
-    else:
-        samples = samples.T
-    return MultichannelAudio(samples, int(rate))
+    elif not np.isfinite(data).all():
+        raise BadWav(f"{path}: non-finite samples")
+    return MultichannelAudio(np.atleast_2d(data.T), int(rate))
 
 
 def save_wav(path, audio):
-    wavfile.write(path, audio.sample_rate, audio.samples.T.astype(np.float32))
+    """Write float32 samples, one WAV channel per audio channel."""
+    wavfile.write(path, audio.sample_rate, audio.samples.T.astype(np.float32, copy=False))

@@ -318,12 +318,12 @@ class FrameDataset:
         """Dataset restricted to the given frame positions.
 
         The shared audio is sliced down to just the selected frames (with
-        offsets rewritten), so corruption and feature extraction on a
-        subset cost proportionally to its size.
+        offsets rewritten, dtype kept), so corruption and feature extraction
+        on a subset cost proportionally to its size.
         """
         indices = list(indices)
         n = self.frame_samples
-        buffer = np.empty((self.audio.n_channels, len(indices) * n))
+        buffer = np.empty((self.audio.n_channels, len(indices) * n), self.audio.samples.dtype)
         frames = []
         for k, i in enumerate(indices):
             record = self.frames[i]
@@ -352,9 +352,8 @@ def gcc_stack(dataset, snr_db=None, seed=0):
     n = dataset.frame_samples
     rows = []
     for record in dataset.frames:
-        segment = signal.samples[:, record.audio_offset:record.audio_offset + n]
-        frame = audio_mod.MultichannelAudio(np.asarray(segment, dtype=np.float64),
-                                            signal.sample_rate)
+        frame = audio_mod.MultichannelAudio(
+            signal.samples[:, record.audio_offset:record.audio_offset + n], signal.sample_rate)
         rows.append(audio_mod.gcc_feature(frame).values)
     return np.stack(rows)
 

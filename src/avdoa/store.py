@@ -131,12 +131,12 @@ class Reader:
         return values[0] if len(values) == 1 else values
 
     def array(self, dtype, shape):
-        """The next prod(shape) values of ``dtype`` as a float64 array."""
+        """The next prod(shape) values of ``dtype``: a read-only view of the file's bytes."""
         dtype = np.dtype(dtype)
         count = math.prod(map(int, shape))
         values = np.frombuffer(self.data, dtype=dtype, count=count,
                                offset=self._advance(count * dtype.itemsize))
-        return values.reshape(shape).astype(np.float64)
+        return values.reshape(shape)
 
     def at_end(self):
         return self.pos == len(self.data)
@@ -159,7 +159,7 @@ def write_feature_store(path, frames):
 
 
 def read_feature_store(path):
-    """Read back all records as (frame_index, float64 (P, L) array) pairs."""
+    """Read back all records as (frame_index, read-only float32 (P, L) array) pairs."""
     reader = Reader(path)
     reader.header(_MAGIC, _VERSION, "feature store")
     frames = []

@@ -19,6 +19,12 @@ class TestSynthSource:
         assert sig.samples.size == 48000
         assert abs(np.var(sig.samples) - 1.0) < 0.05
 
+    @pytest.mark.parametrize("kind", ["white", "speech_like_ar"])
+    def test_one_channel(self, kind):
+        sig = audio.synth_source(kind, 0.01, 48000, seed=0)
+        assert isinstance(sig, audio.MultichannelAudio)
+        assert (sig.n_channels, sig.n_samples) == (1, 480)
+
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError):
             audio.synth_source("white", 0.0, 48000, seed=0)
@@ -29,11 +35,11 @@ class TestSynthSource:
         assert np.array_equal(a.samples, b.samples)
 
     def test_speech_like_has_pauses_and_tilt(self):
-        sig = audio.synth_source("speech_like_ar", 1.0, 48000, seed=1)
-        frame = sig.samples.reshape(-1, 4800)
+        x = audio.synth_source("speech_like_ar", 1.0, 48000, seed=1).samples[0]
+        frame = x.reshape(-1, 4800)
         powers = (frame**2).mean(axis=1)
         assert powers.max() > 5 * powers.min()   # amplitude modulation
-        spec = np.abs(np.fft.rfft(sig.samples))**2
+        spec = np.abs(np.fft.rfft(x))**2
         low = spec[: len(spec) // 8].mean()
         high = spec[-len(spec) // 8:].mean()
         assert low > 10 * high                   # low-frequency emphasis
@@ -41,10 +47,10 @@ class TestSynthSource:
     def test_wav_file_kind(self, tmp_path):
         ref = audio.synth_source("white", 0.5, 16000, seed=2)
         path = tmp_path / "src.wav"
-        audio.save_wav(path, audio.MultichannelAudio(ref.samples[None, :], 16000))
+        audio.save_wav(path, ref)
         sig = audio.synth_source("wav_file", 0.25, 16000, wav_path=str(path))
-        assert sig.samples.size == 4000
-        assert np.allclose(sig.samples, ref.samples[:4000], atol=1e-6)
+        assert sig.samples.shape == (1, 4000)
+        assert np.allclose(sig.samples[0], ref.samples[0, :4000], atol=1e-6)
         with pytest.raises(SampleRateMismatch):
             audio.synth_source("wav_file", 0.25, 48000, wav_path=str(path))
         with pytest.raises(TooShort):
@@ -102,7 +108,7 @@ class TestAddNoise:
 
     def test_high_snr_is_nearly_identity(self):
         sig = audio.synth_source("white", 0.1, 48000, seed=1)
-        x = audio.MultichannelAudio(np.stack([sig.samples] * 2), 48000)
+        x = audio.MultichannelAudio(np.stack([sig.samples[0]] * 2), 48000)
         noisy = audio.add_noise_at_snr(x, 100.0, seed=0)
         rel = np.sqrt(np.mean((noisy.samples - x.samples) ** 2) / np.mean(x.samples**2))
         assert rel < 1e-4
@@ -111,6 +117,15 @@ class TestAddNoise:
         x = audio.MultichannelAudio(np.zeros((2, 100)), 48000)
         with pytest.raises(SilentSignal):
             audio.add_noise_at_snr(x, 0.0, seed=0)
+
+    def test_float32_audio_gets_the_noise_of_its_float64_copy(self):
+        # the signal power is summed in float64: float32 squares would move
+        # the noise scale, and with it every noisy sample
+        x = np.random.default_rng(3).standard_normal((4, 8160)).astype(np.float32)
+        single = audio.add_noise_at_snr(audio.MultichannelAudio(x, 48000), 0.0, seed=1)
+        double = audio.add_noise_at_snr(
+            audio.MultichannelAudio(x.astype(np.float64), 48000), 0.0, seed=1)
+        assert np.array_equal(single.samples, double.samples)
 
 
 class TestGccPhatPair:
@@ -190,6 +205,14 @@ class TestGccFeature:
             direct = audio.gcc_phat_pair(frame.samples[l], frame.samples[p],
                                          fft_len=4096)
             assert np.array_equal(feature.values[row], direct)
+
+    def test_float32_frame_gives_the_values_of_its_float64_copy(self):
+        # the frame is cast to float64 before the FFT: numpy transforms
+        # float32 input in single precision
+        x = np.random.default_rng(4).standard_normal((4, 8160)).astype(np.float32)
+        single = audio.gcc_feature(audio.MultichannelAudio(x, 48000)).values
+        double = audio.gcc_feature(audio.MultichannelAudio(x.astype(np.float64), 48000)).values
+        assert np.array_equal(single, double)
 
     def test_silent_frame_error(self):
         frame = audio.MultichannelAudio(np.zeros((4, 2048)), 48000)
@@ -338,7 +361,35 @@ class TestSrpPhat:
         assert hits >= 95
 
 
+class TestMultichannelAudio:
+    def test_keeps_the_array_it_is_given(self):
+        x = np.zeros((2, 10), dtype=np.float32)
+        assert audio.MultichannelAudio(x, 48000).samples is x
+
+    def test_rejects_integer_and_one_dimensional_samples(self):
+        for samples in (np.zeros((2, 10), dtype=np.int16), np.zeros(10)):
+            with pytest.raises(ValueError):
+                audio.MultichannelAudio(samples, 48000)
+
+
 class TestWavIo:
+    def test_float32_loads_as_float32(self, tmp_path):
+        x = np.random.default_rng(0).standard_normal((4, 480)).astype(np.float32)
+        path = tmp_path / "x.wav"
+        audio.save_wav(path, audio.MultichannelAudio(x, 48000))
+        loaded = audio.load_wav(path)
+        assert loaded.samples.dtype == np.float32
+        assert np.array_equal(loaded.samples, x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, tmp_path, bad):
+        x = np.zeros((2, 100), dtype=np.float32)
+        x[1, 40] = bad
+        path = tmp_path / "x.wav"
+        audio.save_wav(path, audio.MultichannelAudio(x, 48000))
+        with pytest.raises(BadWav, match="non-finite samples"):
+            audio.load_wav(path)
+
     def test_float32_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         x = audio.MultichannelAudio(

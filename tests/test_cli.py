@@ -328,6 +328,15 @@ def _cut_wav(ds):
         wav.samples[:, :-4000], wav.sample_rate))
 
 
+def _spoil_wav(path):
+    """Write a NaN and an inf into the first two frames of a dataset WAV."""
+    wav = audio.load_wav(path)
+    samples = wav.samples.copy()
+    samples[0, 100] = np.nan
+    samples[2, 9000] = np.inf
+    audio.save_wav(path, audio.MultichannelAudio(samples, wav.sample_rate))
+
+
 # (directory, file, edit of that file, the file:line the error must name)
 MALFORMED = {
     "labels_without_azimuths": (
@@ -396,6 +405,7 @@ MALFORMED = {
         "manifest.jsonl:2: frame 0 "),
     "wav_cut_short": (
         "ds", "audio.wav", lambda p: _cut_wav(p.parent), "manifest.jsonl:21: frame 19 "),
+    "wav_non_finite": ("ds", "audio.wav", _spoil_wav, "audio.wav: non-finite samples"),
 }
 
 
@@ -409,6 +419,7 @@ class TestMalformedInputs:
         assert run("simulate", "--out", root / "ds", "--frames", 20, "--seed", 1,
                    "--source-kind", "white") == 0
         assert run("features", "--dataset", root / "ds", "--out", root / "feats") == 0
+        nn.save_checkpoint(nn.build_model("avaw", hidden=(8, 8, 8)), root / "avaw.doam")
         return root
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -418,7 +429,9 @@ class TestMalformedInputs:
         edit(tmp_path / directory / name)
         if directory == "ds":
             commands = [("features", "--dataset", tmp_path / "ds"),
-                        ("baseline", "--dataset", tmp_path / "ds")]
+                        ("baseline", "--dataset", tmp_path / "ds"),
+                        ("robustness", "--dataset", tmp_path / "ds",
+                         "--checkpoint", small / "avaw.doam")]
         else:
             commands = [("train", "--features", tmp_path / "feats", "--model", "gcc_only",
                          "--widths", "8,8,8", "--epochs", 1)]

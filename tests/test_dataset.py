@@ -172,6 +172,10 @@ class TestExtractFeatures:
         full_gcc, _ = dataset.extract_features(ds)
         assert np.array_equal(gcc, full_gcc[[2, 5, 7]])
 
+    def test_audio_stays_float32(self, ds):
+        assert ds.audio.samples.dtype == np.float32
+        assert ds.subset([2, 5, 7]).audio.samples.dtype == np.float32
+
 
 class TestRobustnessGrid:
     def test_clean_cell_equals_direct_evaluation(self, ds):

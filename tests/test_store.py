@@ -20,6 +20,7 @@ class TestFeatureStore:
         for (i0, v0), (i1, v1) in zip(frames, loaded):
             assert i0 == i1
             assert v1.shape == (6, 51)
+            assert v1.dtype == np.float32 and not v1.flags.writeable
             assert np.array_equal(v0, v1)   # inputs were float32-exact
 
     def test_header_bytes(self, tmp_path):
