@@ -21,6 +21,7 @@ NMS_RADIUS_DEG = 10.0
 SNR_LEVELS_DB = (-10.0, 0.0, 10.0, 20.0, None)   # None = clean
 FDSP_LEVELS = (0.0, 0.1, 0.3, 0.5, 0.7)
 _MAX_SOURCES = 4
+_TIE_DEG = 1e-9     # matching costs closer than this tie
 
 
 def angular_error(a, b):
@@ -62,7 +63,12 @@ def decode_doa(scores, n_sources, min_separation_deg=NMS_RADIUS_DEG):
 
 
 def match_sources(predictions, ground_truths):
-    """Matched per-source errors under the cost-minimizing permutation."""
+    """Matched per-source errors under the cost-minimizing permutation.
+
+    Matchings whose costs differ by at most 1e-9 tie (both predictions on
+    one side of both truths, say); the first in ``itertools`` order wins,
+    so summation rounding does not pick among them.
+    """
     preds = list(predictions)
     truths = list(ground_truths)
     if len(preds) != len(truths):
@@ -71,11 +77,11 @@ def match_sources(predictions, ground_truths):
         raise ValueError(f"exhaustive matching supports at most {_MAX_SOURCES} sources")
     if not truths:
         return []
-    best = None
+    best, best_cost = None, np.inf
     for perm in itertools.permutations(range(len(preds))):
         errors = [float(angular_error(preds[i], truths[k])) for k, i in enumerate(perm)]
-        if best is None or sum(errors) < sum(best):
-            best = errors
+        if sum(errors) < best_cost - _TIE_DEG:
+            best, best_cost = errors, sum(errors)
     return best
 
 

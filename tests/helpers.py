@@ -1,5 +1,8 @@
 """Shared numeric oracles for the test suite."""
 
+import itertools
+import math
+
 import numpy as np
 
 from avdoa.errors import AllZeroSpectrum
@@ -137,3 +140,14 @@ def complex_fft_gcc_feature(samples, lags=(-25, 25), fft_len=None):
             cc = np.fft.ifft(weights).real * (fft_len / int(keep.sum()))
             rows.append(cc[idx])
     return np.stack(rows)
+
+
+def first_cheapest_matching(predictions, truths, tol=1e-9):
+    """Reference matcher: per-truth circular errors of the first permutation,
+    in ``itertools`` order, whose exactly summed (``math.fsum``) cost is
+    within ``tol`` of the cheapest."""
+    options = []
+    for perm in itertools.permutations(predictions):
+        options.append([abs((p - t + 180.0) % 360.0 - 180.0) for p, t in zip(perm, truths)])
+    best = min(math.fsum(errors) for errors in options)
+    return next(errors for errors in options if math.fsum(errors) <= best + tol)

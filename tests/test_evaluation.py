@@ -5,7 +5,7 @@ import pytest
 
 from avdoa import evaluation, nn
 from avdoa.errors import CardinalityMismatch, EmptyDataset
-from helpers import three_pass_decode_doa
+from helpers import first_cheapest_matching, three_pass_decode_doa
 
 
 class TestAngularError:
@@ -135,6 +135,25 @@ class TestMatchSources:
             crossed = evaluation.angular_error(pred[1], gt[0]) + \
                 evaluation.angular_error(pred[0], gt[1])
             assert sum(matched) == pytest.approx(min(direct, crossed))
+
+    def test_tied_costs_take_the_first_matching(self):
+        # both predictions lie on one side of both truths, so both matchings
+        # cost 146.802468; rounding made the crossed one look cheaper
+        pred, gt = [-86.0, -63.0], [-6.869661, 4.672129]
+        matched = evaluation.match_sources(pred, gt)
+        assert matched == pytest.approx([79.130339, 67.672129], abs=1e-9)
+        assert matched == first_cheapest_matching(pred, gt)
+
+    def test_matches_the_brute_force_oracle(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3):
+            for _ in range(300):
+                # predictions on one side of every truth: all matchings tie
+                tied = (rng.uniform(-100, -30, size=n), rng.uniform(-20, 20, size=n))
+                free = (rng.uniform(-180, 180, size=n), rng.uniform(-180, 180, size=n))
+                for pred, gt in (tied, free):
+                    assert evaluation.match_sources(pred, gt) == \
+                        pytest.approx(first_cheapest_matching(pred, gt), abs=1e-9)
 
     def test_cardinality_mismatch(self):
         with pytest.raises(CardinalityMismatch):
