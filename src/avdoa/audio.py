@@ -31,6 +31,7 @@ from .errors import (
 
 DEFAULT_FRAME_LEN_S = 0.170
 DEFAULT_LAGS = (-25, 25)
+SOURCE_KINDS = ("white", "speech_like_ar", "wav_file")    # synth_source kinds
 
 # fixed all-pole coefficients for the speech-like source: a mild formant
 # resonance cascaded with a low-pass tilt pole
@@ -110,9 +111,7 @@ def synth_source(kind, duration_s, sample_rate, seed=None, wav_path=None):
         if rms > 0:
             x = x / rms
         return MultichannelAudio(x[None, :], sample_rate)
-    if kind == "wav_file":
-        if wav_path is None:
-            raise ValueError("wav_file kind needs wav_path")
+    if kind == "wav_file":      # ScenarioConfig makes sure wav_path is set
         audio = load_wav(wav_path)
         if audio.sample_rate != sample_rate:
             raise SampleRateMismatch(

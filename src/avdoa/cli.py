@@ -8,6 +8,7 @@ results in memory before writing any output file.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -26,21 +27,28 @@ LABELS_NAME = "labels.jsonl"
 
 
 # ---------------------------------------------------------------------------
-# config file helpers (key = value text)
+# simulate/train options: parsers of flag and config-file text, one row each
 # ---------------------------------------------------------------------------
+
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
 
 def _parse_pair(text):
     parts = text.replace(":", ",").split(",")
     if len(parts) != 2:
-        raise ConfigError(f"expected 'low,high', got {text!r}")
-    return float(parts[0]), float(parts[1])
+        raise ValueError(f"expected 'low,high', got {text!r}")
+    return _finite(parts[0]), _finite(parts[1])
 
 
 def _parse_counts(text):
     counts = {}
     for item in text.split(","):
         n, _, p = item.partition(":")
-        counts[int(n)] = float(p) if p else 1.0
+        counts[int(n)] = _finite(p) if p else 1.0
     return counts
 
 
@@ -49,42 +57,46 @@ def _parse_widths(text):
 
 
 def _parse_variances(text):
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) == 1:
-        parts = parts * 3
-    if len(parts) != 3:
-        raise ConfigError("bbox noise needs one or three variances")
-    return tuple(parts)
+    parts = [_finite(x) for x in text.split(",")]
+    if len(parts) not in (1, 3):
+        raise ValueError("bbox noise needs one or three variances")
+    return tuple(parts * (3 // len(parts)))
 
 
-# (args attribute = dataclass field, config-file key, parser) per command;
-# the defaults live only in ScenarioConfig and TrainConfig
+# One row per simulate/train option: (ScenarioConfig/TrainConfig field,
+# config-file key, parser, flag, help).  build_parser adds the flag as a
+# string option; flag text and file text then go through the same parser.
+# The defaults and the checks live only in the dataclasses.
 SIMULATE_KEYS = (
-    ("frames", "frames", int),
-    ("source_counts", "sources", _parse_counts),
-    ("azimuth_range", "azimuth_range", _parse_pair),
-    ("distance_range", "distance_range", _parse_pair),
-    ("z_range", "z_range", _parse_pair),
-    ("visibility", "visibility", float),
-    ("min_separation_deg", "min_separation_deg", float),
-    ("source_kind", "source_kind", str),
-    ("wav_path", "wav_path", str),
-    ("sample_rate", "sample_rate", int),
-    ("frame_len_s", "frame_len_s", float),
-    ("bbox_noise_var", "bbox_noise_var", _parse_variances),
-    ("seed", "seed", int),
+    ("frames", "frames", int, "--frames", None),
+    ("source_counts", "sources", _parse_counts, "--sources",
+     "source-count distribution, e.g. '1:0.7,2:0.3'"),
+    ("azimuth_range", "azimuth_range", _parse_pair, "--azimuth-range", "degrees, 'low,high'"),
+    ("distance_range", "distance_range", _parse_pair, "--distance-range", "meters, 'low,high'"),
+    ("z_range", "z_range", _parse_pair, "--z-range", "meters, 'low,high'"),
+    ("visibility", "visibility", _finite, "--visibility",
+     "fraction of sources inside the camera FoV"),
+    ("min_separation_deg", "min_separation_deg", _finite, "--min-separation",
+     "minimum azimuth separation between concurrent sources"),
+    ("source_kind", "source_kind", str, "--source-kind", ", ".join(audio_mod.SOURCE_KINDS)),
+    ("wav_path", "wav_path", str, "--wav", "source WAV for --source-kind wav_file"),
+    ("sample_rate", "sample_rate", int, "--sample-rate", None),
+    ("frame_len_s", "frame_len_s", _finite, "--frame-len", "seconds"),
+    ("bbox_noise_var", "bbox_noise_var", _parse_variances, "--bbox-noise-var",
+     "3D annotation noise variance (m^2), one or three values"),
+    ("seed", "seed", int, "--seed", "master random seed"),
 )
 TRAIN_KEYS = (
-    ("epochs", "epochs", int),
-    ("batch_size", "batch_size", int),
-    ("learning_rate", "learning_rate", float),
-    ("hidden", "hidden", _parse_widths),
-    ("weight_net_hidden", "weight_net_hidden", int),
-    ("target_sigma_deg", "target_sigma_deg", float),
-    ("seed", "seed", int),
+    ("epochs", "epochs", int, "--epochs", None),
+    ("batch_size", "batch_size", int, "--batch", None),
+    ("learning_rate", "learning_rate", _finite, "--lr", None),
+    ("hidden", "hidden", _parse_widths, "--widths", "hidden widths, e.g. '1000,1000,1000'"),
+    ("weight_net_hidden", "weight_net_hidden", int, "--weight-net-hidden", None),
+    ("target_sigma_deg", "target_sigma_deg", _finite, "--sigma", "target smoothing (deg)"),
+    ("seed", "seed", int, "--seed", "master random seed"),
 )
 # one --config file may serve both simulate and train
-CONFIG_KEYS = {key for _, key, _ in SIMULATE_KEYS + TRAIN_KEYS}
+CONFIG_KEYS = {row[1] for row in SIMULATE_KEYS + TRAIN_KEYS}
 
 
 def _configured(args, table):
@@ -95,14 +107,15 @@ def _configured(args, table):
     if unknown:
         raise ConfigError(f"{args.config}: unknown keys {', '.join(unknown)}")
     values = {}
-    for field, key, parse in table:
-        if getattr(args, field) is not None:
-            values[field] = parse(getattr(args, field))
-        elif key in config_file:
+    for field, key, parse, flag, _ in table:
+        text, where = getattr(args, field), flag
+        if text is None:
+            text, where = config_file.get(key), f"config key {key!r}"
+        if text is not None:
             try:
-                values[field] = parse(config_file[key])
+                values[field] = parse(text)
             except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
+                raise ConfigError(f"{where}: {exc}") from exc
     return values
 
 
@@ -112,12 +125,8 @@ def _configured(args, table):
 
 def cmd_simulate(args):
     config = dataset_mod.ScenarioConfig(**_configured(args, SIMULATE_KEYS))
-    array = None
-    if args.array is not None:
-        array = geom.load_array_geometry(args.array)
-    calibration = None
-    if args.calibration is not None:
-        calibration = geom.load_calibration(args.calibration)
+    array = None if args.array is None else geom.load_array_geometry(args.array)
+    calibration = None if args.calibration is None else geom.load_calibration(args.calibration)
     dataset_mod.simulate(config, args.out, array=array, calibration=calibration)
     print(f"wrote dataset with {config.frames} frames to {args.out}")
 
@@ -317,31 +326,13 @@ def build_parser():
     seeded = argparse.ArgumentParser(add_help=False, parents=[out])
     seeded.add_argument("--seed", type=int, default=0, help="master random seed")
     configured = argparse.ArgumentParser(add_help=False, parents=[out])
-    configured.add_argument("--seed", type=int, default=None, help="master random seed")
     configured.add_argument("--config", default=None, help="key = value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", parents=[configured],
                        help="generate a synthetic dataset directory")
-    p.add_argument("--frames", type=int, default=None)
-    p.add_argument("--sources", dest="source_counts", default=None,
-                   help="source-count distribution, e.g. '1:0.7,2:0.3'")
-    p.add_argument("--azimuth-range", default=None, help="degrees, 'low,high'")
-    p.add_argument("--distance-range", default=None, help="meters, 'low,high'")
-    p.add_argument("--z-range", default=None, help="meters, 'low,high'")
-    p.add_argument("--visibility", type=float, default=None,
-                   help="fraction of sources inside the camera FoV")
-    p.add_argument("--min-separation", dest="min_separation_deg", type=float, default=None,
-                   help="minimum azimuth separation between concurrent sources")
-    p.add_argument("--source-kind", default=None,
-                   choices=["white", "speech_like_ar", "wav_file"])
-    p.add_argument("--wav", dest="wav_path", default=None,
-                   help="source WAV for --source-kind wav_file")
-    p.add_argument("--sample-rate", type=int, default=None)
-    p.add_argument("--frame-len", dest="frame_len_s", type=float, default=None,
-                   help="seconds")
-    p.add_argument("--bbox-noise-var", default=None,
-                   help="3D annotation noise variance (m^2), one or three values")
+    for field, _, _, flag, help_text in SIMULATE_KEYS:
+        p.add_argument(flag, dest=field, help=help_text)
     p.add_argument("--array", default=None, help="array geometry file to use")
     p.add_argument("--calibration", default=None, help="camera calibration file to use")
     p.set_defaults(func=cmd_simulate)
@@ -358,14 +349,8 @@ def build_parser():
     p = sub.add_parser("train", parents=[configured], help="train a model on features")
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True, choices=["avc", "avaw", "gcc_only"])
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
-    p.add_argument("--widths", dest="hidden", default=None,
-                   help="hidden widths, e.g. '1000,1000,1000'")
-    p.add_argument("--weight-net-hidden", type=int, default=None)
-    p.add_argument("--sigma", dest="target_sigma_deg", type=float, default=None,
-                   help="target smoothing (deg)")
+    for field, _, _, flag, help_text in TRAIN_KEYS:
+        p.add_argument(flag, dest=field, help=help_text)
     p.add_argument("--holdout", type=float, default=0.2,
                    help="trailing fraction of frames excluded from training")
     p.set_defaults(func=cmd_train)

@@ -68,7 +68,6 @@ class ScenarioConfig:
     sample_rate: int = 48000
     frame_len_s: float = audio_mod.DEFAULT_FRAME_LEN_S
     bbox_noise_var: tuple = (0.0, 0.0, 0.0)   # m^2 per axis; 0.2 mimics jittery detectors
-    face: geom.FaceSize = field(default_factory=geom.FaceSize)
     seed: int = 0
 
     def __post_init__(self):
@@ -80,20 +79,20 @@ class ScenarioConfig:
         if abs(sum(counts.values()) - 1.0) > 1e-9 or any(v < 0 for v in counts.values()):
             raise ConfigError("source count probabilities must be >= 0 and sum to 1")
         self.source_counts = counts
-        for name in ("azimuth_range", "distance_range"):
-            lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise ConfigError(f"{name} must be a non-degenerate (low, high) pair")
-        if self.z_range[0] > self.z_range[1]:
-            raise ConfigError("z_range must be a (low, high) pair")
         if not -180.0 <= self.azimuth_range[0] < self.azimuth_range[1] <= 180.0:
-            raise ConfigError("azimuth_range must lie inside [-180, 180]")
-        if self.distance_range[0] <= 0:
-            raise ConfigError("distances must be positive")
+            raise ConfigError("azimuth_range must be a (low, high) pair inside [-180, 180]")
+        if not 0.0 < self.distance_range[0] < self.distance_range[1]:
+            raise ConfigError("distance_range must be a (low, high) pair of positive distances")
+        if not self.z_range[0] <= self.z_range[1]:
+            raise ConfigError("z_range must be a (low, high) pair")
         if not 0.0 <= self.visibility <= 1.0:
             raise ConfigError("visibility must be in [0, 1]")
-        if self.sample_rate <= 0 or self.frame_len_s <= 0:
+        if not (self.sample_rate > 0 and self.frame_len_s > 0):
             raise ConfigError("sample_rate and frame_len_s must be positive")
+        if self.source_kind not in audio_mod.SOURCE_KINDS:
+            raise ConfigError(f"source_kind must be one of {', '.join(audio_mod.SOURCE_KINDS)}")
+        if self.source_kind == "wav_file" and self.wav_path is None:
+            raise ConfigError("source_kind wav_file needs wav_path")
 
 
 def default_calibration(width=640, height=480, focal=500.0):
@@ -124,7 +123,7 @@ def _sample_position(rng, config, array, cal, want_visible, taken_azimuths):
         position = array.origin + np.array(
             [distance * np.cos(theta), distance * np.sin(theta), z]
         )
-        box = geom.synthesize_bbox(position, cal, config.face)
+        box = geom.synthesize_bbox(position, cal)
         if (box is not None) == want_visible:
             return position, float(geom.wrap_degrees(azimuth))
     raise ConfigError(
@@ -169,7 +168,7 @@ def simulate(config, out_dir, array=None, calibration=None):
             rendered.append((signal, azimuth))
             if visible:
                 box = geom.synthesize_bbox(
-                    position, cal, config.face, config.bbox_noise_var,
+                    position, cal, variances=config.bbox_noise_var,
                     rng=np.random.default_rng([config.seed, 4, f, s]),
                 )
                 if box is not None:
@@ -319,10 +318,14 @@ class FrameDataset:
 
         The shared audio is sliced down to just the selected frames (with
         offsets rewritten, dtype kept), so corruption and feature extraction
-        on a subset cost proportionally to its size.
+        on a subset cost proportionally to its size.  A dataset that already
+        holds exactly those frames back to back is returned as it is.
         """
         indices = list(indices)
         n = self.frame_samples
+        if (indices == list(range(len(self))) and self.audio.n_samples == len(self) * n
+                and [f.audio_offset for f in self.frames] == list(range(0, len(self) * n, n))):
+            return self
         buffer = np.empty((self.audio.n_channels, len(indices) * n), self.audio.samples.dtype)
         frames = []
         for k, i in enumerate(indices):

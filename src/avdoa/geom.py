@@ -12,6 +12,7 @@ Conventions, used consistently everywhere in this package:
   * camera frame: x right, y down, z along the optical axis
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,14 +208,22 @@ def doa_from_position(point, array):
 # key = value text files for calibration and array geometry
 # ---------------------------------------------------------------------------
 
+def _floats(value, key, count, path):
+    """The ``count`` finite numbers of one entry's value."""
+    try:
+        numbers = [float(p) for p in value.split()]
+    except ValueError:
+        numbers = [math.nan]
+    if len(numbers) != count or not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{path}: '{key}' needs {count} finite number(s), got {value!r}")
+    return numbers
+
+
 def _kv_floats(entries, key, count, path):
     values = [v for k, v in entries if k == key]
     if len(values) != 1:
         raise ConfigError(f"{path}: expected exactly one '{key}' entry")
-    parts = values[0].split()
-    if len(parts) != count:
-        raise ConfigError(f"{path}: '{key}' needs {count} numbers, got {len(parts)}")
-    return [float(p) for p in parts]
+    return _floats(values[0], key, count, path)
 
 
 def save_calibration(cal, path):
@@ -260,15 +269,9 @@ def load_array_geometry(path):
     mics = [v for k, v in entries if k == "mic"]
     if len(mics) < 2:
         raise ConfigError(f"{path}: need at least two 'mic' entries")
-    positions = []
-    for value in mics:
-        parts = value.split()
-        if len(parts) != 3:
-            raise ConfigError(f"{path}: each 'mic' needs 3 coordinates")
-        positions.append([float(p) for p in parts])
     try:
         return MicArray(
-            positions=np.array(positions),
+            positions=np.array([_floats(value, "mic", 3, path) for value in mics]),
             origin=np.array(_kv_floats(entries, "origin", 3, path)),
             yaw_deg=_kv_floats(entries, "yaw_deg", 1, path)[0],
             speed_of_sound=_kv_floats(entries, "c", 1, path)[0],

@@ -40,9 +40,6 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 256
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     hidden: tuple = (1000, 1000, 1000)
     weight_net_hidden: int = 64
     target_sigma_deg: float = 8.0
@@ -133,20 +130,19 @@ class BatchNorm:
     ``momentum`` is the fraction of the old running estimate kept per
     update.  Variances are biased (ddof=0) both in training and in the
     running estimate, so an eval pass with running stats equal to a batch's
-    stats reproduces the training-mode output.  The default eps is tiny
-    because everything runs in float64; it only guards exactly-constant
-    features.
+    stats reproduces the training-mode output.  eps is tiny because
+    everything runs in float64; it only guards exactly-constant features.
+    A loaded checkpoint sets both to the values stored in it.
     """
 
-    def __init__(self, dim, momentum=0.9, eps=1e-12):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+    momentum = 0.9
+    eps = 1e-12
+
+    def __init__(self, dim):
         self.gamma = np.ones(dim)
         self.beta = np.zeros(dim)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-        self.momentum = momentum
-        self.eps = eps
         self.grad_gamma = np.zeros_like(self.gamma)
         self.grad_beta = np.zeros_like(self.beta)
 
@@ -183,14 +179,13 @@ class BatchNorm:
 class Adam:
     """Adam with bias correction; state (m, v, t) lives on the optimizer."""
 
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
     _CHUNK = 1 << 14   # elements per update chunk; the scratch buffers stay in cache
 
-    def __init__(self, learning_rate=TrainConfig.learning_rate, beta1=TrainConfig.beta1,
-                 beta2=TrainConfig.beta2, eps=TrainConfig.adam_eps):
+    def __init__(self, learning_rate=TrainConfig.learning_rate):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = None
         self._v = None
@@ -233,15 +228,14 @@ class Adam:
 # target encoding
 # ---------------------------------------------------------------------------
 
-def encode_target(azimuths_deg, sigma_deg=TrainConfig.target_sigma_deg,
-                  n_classes=N_CLASSES):
+def encode_target(azimuths_deg, sigma_deg=TrainConfig.target_sigma_deg):
     """Soft 360-class label: Gaussian of circular distance, max over sources.
 
     Class i covers azimuth i - 180 degrees.  A source exactly on a grid
     value yields 1.0 there; distances wrap across +/-180.
     """
-    grid = np.arange(n_classes, dtype=float) - 180.0
-    target = np.zeros(n_classes)
+    grid = np.arange(N_CLASSES, dtype=float) - 180.0
+    target = np.zeros(N_CLASSES)
     for az in azimuths_deg:
         if not -180.0 <= az < 180.0:
             raise ValueError(f"azimuth {az} outside [-180, 180)")
@@ -420,7 +414,7 @@ def train_model(model, gcc, vis, targets, config):
         raise EmptyDataset("training needs at least two samples")
     if len(targets) != n or (vis is not None and len(vis) != n):
         raise ShapeMismatch("feature and target row counts differ")
-    adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+    adam = Adam(config.learning_rate)
     rng = np.random.default_rng([config.seed, 1])
     params = model.parameters()
     history = []
@@ -502,12 +496,25 @@ def _read_block_table(reader):
     return shapes
 
 
+def _model_shapes(kind, gcc_dim, vis_dim, out_dim, hidden, wn_hidden):
+    """Parameter and running-stat shapes of a DoaModel, in checkpoint order."""
+    dims = [gcc_dim + vis_dim, *hidden]
+    params = []
+    if kind == "avaw":
+        params += [(wn_hidden, dims[0]), (wn_hidden,), (3, wn_hidden), (3,)]
+    for d_in, d_out in zip(dims, dims[1:]):
+        params += [(d_out, d_in), (d_out,), (d_out,), (d_out,)]
+    params += [(out_dim, dims[-1]), (out_dim,)]
+    return params, [(d,) for d in hidden for _ in ("mean", "var")]
+
+
 def load_checkpoint(path, model=None):
     """Rebuild (or fill) a model from a checkpoint file.
 
     With ``model`` given, the file must match its architecture and shapes
     exactly (ShapeMismatch otherwise); without it a fresh model is built
-    from the self-describing header.
+    from the self-describing header.  The shapes are checked against the
+    header and the file's size before anything is allocated.
     """
     reader = Reader(path)
     reader.header(_MAGIC, _VERSION, "checkpoint file")
@@ -520,22 +527,23 @@ def load_checkpoint(path, model=None):
     hidden = tuple(np.atleast_1d(reader.take(f"<{n_hidden}I")))
     weight_net_hidden = reader.take("<I")
     bn_momentum, bn_eps = reader.take("<dd")
-    param_shapes = _read_block_table(reader)
-    stat_shapes = _read_block_table(reader)
+    shapes = [_read_block_table(reader), _read_block_table(reader)]
+    if model is None:
+        want = _model_shapes(kind, gcc_dim, vis_dim, out_dim, hidden, weight_net_hidden)
+    elif model.kind != kind:
+        raise ShapeMismatch(f"{path}: checkpoint is {kind!r}, model is {model.kind!r}")
+    else:
+        want = [[p.shape for p in model.parameters()], [s.shape for s in model.bn_stats()]]
+    if list(want) != shapes:
+        raise ShapeMismatch(f"{path}: parameter shapes do not match the model")
+    blocks = [reader.array("<f8", shape) for shape in shapes[0] + shapes[1]]   # views
+    if not reader.at_end():
+        raise ShapeMismatch(f"{path}: trailing bytes after parameter blocks")
     if model is None:
         model = DoaModel(kind, hidden=hidden, weight_net_hidden=weight_net_hidden,
                          gcc_dim=gcc_dim, vis_dim=vis_dim, out_dim=out_dim, rng=0)
-    elif model.kind != kind:
-        raise ShapeMismatch(f"{path}: checkpoint is {kind!r}, model is {model.kind!r}")
-    params = model.parameters()
-    stats = model.bn_stats()
-    if [p.shape for p in params] != param_shapes or [s.shape for s in stats] != stat_shapes:
-        raise ShapeMismatch(f"{path}: parameter shapes do not match the model")
-    for arr, shape in zip([*params, *stats], [*param_shapes, *stat_shapes]):
-        arr[...] = reader.array("<f8", shape)
-    if not reader.at_end():
-        raise ShapeMismatch(f"{path}: trailing bytes after parameter blocks")
+    for arr, block in zip([*model.parameters(), *model.bn_stats()], blocks):
+        arr[...] = block
     for _, bn in model.core.blocks:
-        bn.momentum = bn_momentum
-        bn.eps = bn_eps
+        bn.momentum, bn.eps = bn_momentum, bn_eps
     return model

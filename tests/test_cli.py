@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -97,6 +99,68 @@ class TestConfigTables:
         cfg.write_text("frames = many\n")
         assert run("simulate", "--out", tmp_path / "ds", "--config", cfg) == 2
         assert not (tmp_path / "ds").exists()
+
+
+class TestOptionRows:
+    """Each simulate/train option is one table row: one string flag, one
+    config key, and one parser for both, so both refuse the same values."""
+
+    @pytest.mark.parametrize("command, table", [("simulate", cli.SIMULATE_KEYS),
+                                                ("train", cli.TRAIN_KEYS)])
+    def test_every_row_has_exactly_one_flag(self, command, table):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        actions = [a for a in sub.choices[command]._actions if a.option_strings]
+        for field, _, _, flag, _ in table:
+            matching = [a for a in actions if a.dest == field]
+            assert [a.option_strings for a in matching] == [[flag]]
+            assert (matching[0].type, matching[0].choices, matching[0].default) == \
+                (None, None, None)
+
+    # (command, flag or None for a config-file line, value): one flag and one
+    # file key for each parser of the rows
+    BAD_VALUES = [
+        ("simulate", "--frame-len", "inf"),
+        ("simulate", "--min-separation", "nan"),
+        ("train", "--lr", "nan"),
+        ("train", None, "target_sigma_deg = inf"),
+        ("simulate", "--azimuth-range", "0,nan"),
+        ("simulate", None, "distance_range = 1,inf"),
+        ("simulate", "--bbox-noise-var", "nan"),
+        ("simulate", None, "bbox_noise_var = 0.1,-inf,0.1"),
+        ("simulate", "--sources", "1:nan"),
+        ("simulate", None, "sources = 1:0.5,2:inf"),
+        ("simulate", "--frames", "abc"),
+        ("train", None, "hidden = 8,x"),
+    ]
+
+    @pytest.mark.parametrize("command, flag, value", BAD_VALUES)
+    def test_bad_value_exits_2_naming_the_flag_or_key(self, command, flag, value,
+                                                      tmp_path, capsys):
+        argv = [command, "--out", tmp_path / "out"]
+        if command == "train":
+            argv += ["--features", tmp_path / "feats", "--model", "avc"]
+        if flag is None:
+            (tmp_path / "run.cfg").write_text(value + "\n")
+            argv += ["--config", tmp_path / "run.cfg"]
+            where = f"config key {value.split(' =')[0]!r}: "
+        else:
+            argv += [flag, value]
+            where = f"{flag}: "
+        assert run(*argv) == 2
+        assert not (tmp_path / "out").exists()
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"error: {where}")
+
+    def test_unknown_source_kind_exits_2_from_flag_and_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("source_kind = bogus\n")
+        out = tmp_path / "ds"
+        assert run("simulate", "--out", out, "--frames", 2, "--source-kind", "bogus") == 2
+        assert run("simulate", "--out", out, "--frames", 2, "--config", cfg) == 2
+        assert not out.exists()
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == ["error: source_kind must be one of white, speech_like_ar, wav_file"] * 2
 
 
 class TestParser:
@@ -260,6 +324,18 @@ class TestEvalCommand:
         assert run("eval", "--checkpoint", bad, "--features", feats,
                    "--out", tmp_path / "o") == 2
 
+    def test_huge_width_in_header_exits_2_at_once(self, pipeline, tmp_path, capsys):
+        _, _, feats, ckpt = pipeline
+        data = bytearray(ckpt.read_bytes())
+        data[21:25] = (3_000_000_000).to_bytes(4, "little")   # the first hidden width
+        bad = tmp_path / "wide.doam"
+        bad.write_bytes(bytes(data))
+        start = time.perf_counter()
+        assert run("eval", "--checkpoint", bad, "--features", feats,
+                   "--out", tmp_path / "o") == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
     def test_wrong_checkpoint_path_exits_4(self, pipeline, tmp_path):
         _, _, feats, _ = pipeline
         assert run("eval", "--checkpoint", tmp_path / "none.doam",
@@ -320,6 +396,13 @@ def _replace_line(path, line, text):
     lines = path.read_text().splitlines()
     lines[line] = text
     path.write_text("\n".join(lines) + "\n")
+
+
+def _set_key(path, key, value):
+    """Give the first ``key = ...`` line of a geometry file a new value."""
+    lines = path.read_text().splitlines()
+    line = next(i for i, text in enumerate(lines) if text.startswith(f"{key} ="))
+    _replace_line(path, line, f"{key} = {value}")
 
 
 def _cut_wav(ds):
@@ -406,6 +489,14 @@ MALFORMED = {
     "wav_cut_short": (
         "ds", "audio.wav", lambda p: _cut_wav(p.parent), "manifest.jsonl:21: frame 19 "),
     "wav_non_finite": ("ds", "audio.wav", _spoil_wav, "audio.wav: non-finite samples"),
+    "speed_of_sound_nan": (
+        "ds", "array.txt", lambda p: _set_key(p, "c", "nan"), "array.txt: 'c' "),
+    "mic_at_infinity": (
+        "ds", "array.txt", lambda p: _set_key(p, "mic", "inf 0 0"), "array.txt: 'mic' "),
+    "mic_not_a_number": (
+        "ds", "array.txt", lambda p: _set_key(p, "mic", "0 zero 0"), "array.txt: 'mic' "),
+    "focal_length_nan": (
+        "ds", "camera.txt", lambda p: _set_key(p, "f_u", "nan"), "camera.txt: 'f_u' "),
 }
 
 

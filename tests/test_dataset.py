@@ -25,6 +25,12 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             dataset.ScenarioConfig(azimuth_range=(-200, 10))
 
+    def test_rejects_unknown_source_kind(self):
+        with pytest.raises(ConfigError, match="source_kind"):
+            dataset.ScenarioConfig(source_kind="bogus")
+        with pytest.raises(ConfigError, match="wav_path"):
+            dataset.ScenarioConfig(source_kind="wav_file")
+
     def test_rejects_three_plus_sources(self):
         with pytest.raises(ConfigError):
             dataset.ScenarioConfig(source_counts={3: 1.0})
@@ -171,6 +177,14 @@ class TestExtractFeatures:
         gcc, vis = dataset.extract_features(sub)
         full_gcc, _ = dataset.extract_features(ds)
         assert np.array_equal(gcc, full_gcc[[2, 5, 7]])
+
+    def test_subset_of_every_frame_is_the_dataset(self, ds):
+        whole = ds.subset(range(len(ds)))
+        assert whole is ds
+        assert np.array_equal(dataset.gcc_stack(whole), dataset.gcc_stack(ds))
+        reordered = ds.subset(reversed(range(len(ds))))
+        assert reordered is not ds
+        assert np.array_equal(dataset.gcc_stack(reordered), dataset.gcc_stack(ds)[::-1])
 
     def test_audio_stays_float32(self, ds):
         assert ds.audio.samples.dtype == np.float32

@@ -1,0 +1,49 @@
+"""Property tests of the binary readers: a damaged .doaf or .doam file gives a
+result or a typed error (AvdoaError, OSError), never any other exception."""
+
+import numpy as np
+import pytest
+
+from avdoa import nn
+from avdoa.errors import AvdoaError
+from avdoa.store import read_feature_store, write_feature_store
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+def _damaged(data):
+    """Truncations, appended bytes and overwritten byte ranges of ``data``."""
+    cut = st.integers(0, len(data) - 1).map(lambda n: data[:n])
+    appended = st.binary(min_size=1, max_size=64).map(lambda extra: data + extra)
+    overwritten = st.tuples(st.integers(0, len(data) - 1), st.binary(min_size=1, max_size=16)) \
+        .map(lambda at: data[:at[0]] + at[1] + data[at[0] + len(at[1]):])
+    return st.one_of(cut, appended, overwritten)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("props")
+    rng = np.random.default_rng(0)
+    write_feature_store(root / "valid.doaf",
+                        [(i, rng.standard_normal((3, 5))) for i in range(4)])
+    nn.save_checkpoint(nn.DoaModel("avaw", hidden=(3, 2), weight_net_hidden=2, gcc_dim=4,
+                                   vis_dim=2, out_dim=5, rng=0), root / "valid.doam")
+    return root
+
+
+@pytest.mark.parametrize("name, reader", [("doaf", read_feature_store),
+                                          ("doam", nn.load_checkpoint)])
+def test_damaged_file_gives_result_or_typed_error(files, name, reader):
+    damaged = files / f"damaged.{name}"
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(_damaged((files / f"valid.{name}").read_bytes()))
+    def check(data):
+        damaged.write_bytes(data)
+        try:
+            reader(damaged)
+        except (AvdoaError, OSError):
+            pass
+
+    check()
