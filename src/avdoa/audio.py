@@ -282,11 +282,11 @@ def srp_phat(feature, array):
     return values.sum(axis=-2)
 
 
-def decode_srp(srp_map, n_sources, min_separation_deg=10.0):
+def decode_srp(srp_map, n_sources):
     """Top-N azimuths from an SRP map (peak picking with suppression)."""
     from .evaluation import decode_doa  # late import, keeps layering one-way
 
-    return decode_doa(srp_map, n_sources, min_separation_deg)
+    return decode_doa(srp_map, n_sources)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from . import audio as audio_mod
 from . import geom, visual
 from .errors import ConfigError, EmptyDataset, TooShort
-from .nn import TrainConfig, encode_target
+from .nn import encode_target
 from .store import json_field, read_jsonl
 
 MANIFEST_NAME = "manifest.jsonl"
@@ -95,8 +95,8 @@ class ScenarioConfig:
             raise ConfigError("source_kind wav_file needs wav_path")
 
 
-def default_calibration(width=640, height=480, focal=500.0):
-    """Camera at the array origin looking along the world +x axis."""
+def default_calibration():
+    """640 x 480 camera, focal length 500 px, at the array origin looking along +x."""
     rotation = np.array([
         [0.0, -1.0, 0.0],    # camera x (right)  = world -y
         [0.0, 0.0, -1.0],    # camera y (down)   = world -z
@@ -104,8 +104,7 @@ def default_calibration(width=640, height=480, focal=500.0):
     ])
     return geom.CameraCalibration(
         rotation=rotation, translation=np.zeros(3),
-        f_u=focal, f_v=focal, c_u=width / 2.0, c_v=height / 2.0,
-        width=width, height=height,
+        f_u=500.0, f_v=500.0, c_u=320.0, c_v=240.0, width=640, height=480,
     )
 
 
@@ -380,9 +379,9 @@ def feature_matrices(gcc, vis):
     return gcc.reshape(len(gcc), -1), vis.reshape(len(vis), -1)
 
 
-def build_targets(frames, sigma_deg=TrainConfig.target_sigma_deg):
-    """Stack soft azimuth targets for a list of frame records."""
-    return np.stack([encode_target(f.azimuths, sigma_deg) for f in frames])
+def build_targets(frames):
+    """Stack soft azimuth targets, at the default sigma, for a list of frame records."""
+    return np.stack([encode_target(f.azimuths) for f in frames])
 
 
 def split_indices(n_frames, holdout_frac):

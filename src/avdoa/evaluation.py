@@ -93,7 +93,7 @@ class EvalResult:
     records: list = field(default_factory=list)   # per-frame dicts
 
 
-def mae_acc(pred_sets, gt_sets, frame_indices=None, allowance_deg=ACC_ALLOWANCE_DEG):
+def mae_acc(pred_sets, gt_sets, frame_indices=None):
     """MAE and accuracy over per-frame azimuth sets (known source count)."""
     pred_sets = list(pred_sets)
     gt_sets = list(gt_sets)
@@ -111,16 +111,16 @@ def mae_acc(pred_sets, gt_sets, frame_indices=None, allowance_deg=ACC_ALLOWANCE_
             "pred": [float(p) for p in preds],
             "matched_errors": match_sources(preds, truths),
         })
-    return _result(records, allowance_deg)
+    return _result(records)
 
 
-def _result(records, allowance_deg=ACC_ALLOWANCE_DEG):
+def _result(records):
     errors = np.array([e for record in records for e in record["matched_errors"]])
     if errors.size == 0:
         raise EmptyDataset("no sources to score")
     return EvalResult(
         mae=float(errors.mean()),
-        acc=float(100.0 * np.mean(errors <= allowance_deg)),
+        acc=float(100.0 * np.mean(errors <= ACC_ALLOWANCE_DEG)),
         frame_count=len(records),
         records=records,
     )
@@ -192,26 +192,25 @@ def robustness_grid(model, dataset, snr_levels=SNR_LEVELS_DB, fdsp_levels=FDSP_L
     return RobustnessGrid(tuple(snr_levels), tuple(fdsp_levels), cells)
 
 
-def write_grid_csv(grid, path):
-    """Grid summary CSV: rows SNR, columns FDSP, cells "mae/acc"."""
+def _write_table(grid, path, column, cell):
+    """CSV with one row per SNR level and one column per FDSP level; each
+    cell is ``cell.format(mae, acc)``."""
     with open(path, "w", encoding="utf-8") as fh:
-        header = ["snr_db"] + [f"fdsp_{int(round(100 * f))}pct" for f in grid.fdsp_levels]
+        header = ["snr_db"] + [f"{column}_{int(round(100 * f))}pct" for f in grid.fdsp_levels]
         fh.write(",".join(header) + "\n")
         for snr in grid.snr_levels:
-            cells = [f"{mae:.3f}/{acc:.2f}" for mae, acc in grid.row(snr)]
+            cells = [cell.format(mae, acc) for mae, acc in grid.row(snr)]
             fh.write(",".join([snr_label(snr)] + cells) + "\n")
+
+
+def write_grid_csv(grid, path):
+    """Grid summary CSV: rows SNR, columns FDSP, cells "mae/acc"."""
+    _write_table(grid, path, "fdsp", "{0:.3f}/{1:.2f}")
 
 
 def write_plot_data(grid, path):
     """MAE-vs-SNR curves, one column per FDSP level."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = ["snr_db"] + [f"mae_fdsp_{int(round(100 * f))}pct"
-                               for f in grid.fdsp_levels]
-        fh.write(",".join(header) + "\n")
-        for snr in grid.snr_levels:
-            row = [snr_label(snr)]
-            row += [f"{mae:.4f}" for mae, _ in grid.row(snr)]
-            fh.write(",".join(row) + "\n")
+    _write_table(grid, path, "mae_fdsp", "{0:.4f}")
 
 
 def render_svg_chart(grid, path):

@@ -103,6 +103,8 @@ def mse_loss(pred, target):
 class Dense:
     """Affine layer y = x W^T + b with Glorot-uniform init."""
 
+    PARAMS, STATS = ("weight", "bias"), ()   # each PARAMS name has a grad_<name>
+
     def __init__(self, in_dim, out_dim, rng):
         limit = np.sqrt(6.0 / (in_dim + out_dim))
         self.weight = rng.uniform(-limit, limit, size=(out_dim, in_dim))
@@ -137,6 +139,7 @@ class BatchNorm:
 
     momentum = 0.9
     eps = 1e-12
+    PARAMS, STATS = ("gamma", "beta"), ("running_mean", "running_var")
 
     def __init__(self, dim):
         self.gamma = np.ones(dim)
@@ -248,7 +251,21 @@ def encode_target(azimuths_deg, sigma_deg=TrainConfig.target_sigma_deg):
 # models
 # ---------------------------------------------------------------------------
 
-class Mlp3:
+class _Layered:
+    """A model's arrays: one walk over ``layers()``, in checkpoint order."""
+
+    def parameters(self):
+        return [getattr(layer, name) for layer in self.layers() for name in layer.PARAMS]
+
+    def gradients(self):
+        return [getattr(layer, "grad_" + name)
+                for layer in self.layers() for name in layer.PARAMS]
+
+    def bn_stats(self):
+        return [getattr(layer, name) for layer in self.layers() for name in layer.STATS]
+
+
+class Mlp3(_Layered):
     """Dense -> BatchNorm -> ReLU blocks, then Dense -> sigmoid."""
 
     def __init__(self, in_dim, hidden_dims, out_dim, rng):
@@ -274,28 +291,11 @@ class Mlp3:
             dx = dense.backward(bn.backward(relu_backward(dx, pre)))
         return dx
 
-    def parameters(self):
-        out = []
-        for dense, bn in self.blocks:
-            out += [dense.weight, dense.bias, bn.gamma, bn.beta]
-        out += [self.out.weight, self.out.bias]
-        return out
-
-    def gradients(self):
-        out = []
-        for dense, bn in self.blocks:
-            out += [dense.grad_weight, dense.grad_bias, bn.grad_gamma, bn.grad_beta]
-        out += [self.out.grad_weight, self.out.grad_bias]
-        return out
-
-    def bn_stats(self):
-        out = []
-        for _, bn in self.blocks:
-            out += [bn.running_mean, bn.running_var]
-        return out
+    def layers(self):
+        return [layer for block in self.blocks for layer in block] + [self.out]
 
 
-class DoaModel:
+class DoaModel(_Layered):
     """MLP3 trunk behind the input stage named by ``kind`` (gcc_only, avc or avaw).
 
     The avaw weight net draws from ``rng`` before the trunk, so checkpoints
@@ -303,16 +303,15 @@ class DoaModel:
     on ``last_weights``.
     """
 
-    def __init__(self, kind, hidden, weight_net_hidden, gcc_dim=GCC_DIM, vis_dim=VIS_DIM,
-                 out_dim=N_CLASSES, rng=None):
+    def __init__(self, kind, hidden, weight_net_hidden, gcc_dim, vis_dim, out_dim, rng):
         if kind not in _ARCH_TAGS:
             raise ValueError(f"unknown model kind {kind!r}")
         if kind == "gcc_only":
             vis_dim = 0
         if kind != "avaw":
             weight_net_hidden = 0
-        elif vis_dim % 2:
-            raise ValueError("visual dim must split into two equal axis blocks")
+        elif vis_dim < 2 or vis_dim % 2:
+            raise ValueError("visual dim must split into two equal, non-empty axis blocks")
         rng = np.random.default_rng(rng)
         self.kind = kind
         self.gcc_dim = gcc_dim
@@ -329,8 +328,8 @@ class DoaModel:
     def _check(self, gcc, vis):
         if gcc.ndim != 2 or gcc.shape[1] != self.gcc_dim:
             raise ShapeMismatch(f"expected (batch, {self.gcc_dim}) GCC input, got {gcc.shape}")
-        if self.kind == "gcc_only":
-            return
+        if not self.vis_dim:
+            return      # audio only: any visual input is ignored
         if vis is None or vis.ndim != 2 or vis.shape[1] != self.vis_dim:
             shape = None if vis is None else vis.shape
             raise ShapeMismatch(f"expected (batch, {self.vis_dim}) visual input, got {shape}")
@@ -350,15 +349,15 @@ class DoaModel:
 
     def forward(self, gcc, vis=None, train=False):
         self._check(gcc, vis)
-        if self.kind == "gcc_only":
+        if not self.vis_dim:
             return self.core.forward(gcc, train)
-        if self.kind == "avc":
-            return self.core.forward(np.concatenate([gcc, vis], axis=1), train)
-        weights = self.last_weights = self.adaptive_weights(gcc, vis)
-        self._inputs = (gcc, vis)
-        scaled = [block * weights[:, k:k + 1]
-                  for k, block in enumerate(self._blocks(gcc, vis))]
-        return self.core.forward(np.concatenate(scaled, axis=1), train)
+        blocks = [gcc, vis]
+        if self.kind == "avaw":
+            weights = self.last_weights = self.adaptive_weights(gcc, vis)
+            self._inputs = (gcc, vis)
+            blocks = [block * weights[:, k:k + 1]
+                      for k, block in enumerate(self._blocks(gcc, vis))]
+        return self.core.forward(np.concatenate(blocks, axis=1), train)
 
     def backward(self, dy):
         dz = self.core.backward(dy)
@@ -371,21 +370,8 @@ class DoaModel:
             dlogits = softmax_backward(dweights, self.last_weights)
             self.wn1.backward(relu_backward(self.wn2.backward(dlogits), self._wn_pre))
 
-    def parameters(self):
-        out = []
-        if self.kind == "avaw":
-            out += [self.wn1.weight, self.wn1.bias, self.wn2.weight, self.wn2.bias]
-        return out + self.core.parameters()
-
-    def gradients(self):
-        out = []
-        if self.kind == "avaw":
-            out += [self.wn1.grad_weight, self.wn1.grad_bias,
-                    self.wn2.grad_weight, self.wn2.grad_bias]
-        return out + self.core.gradients()
-
-    def bn_stats(self):
-        return self.core.bn_stats()
+    def layers(self):
+        return ([self.wn1, self.wn2] if self.kind == "avaw" else []) + self.core.layers()
 
 
 def build_model(kind, hidden=TrainConfig.hidden,
@@ -393,7 +379,7 @@ def build_model(kind, hidden=TrainConfig.hidden,
                 gcc_dim=GCC_DIM, vis_dim=VIS_DIM):
     """Construct a model with seeded initialization (init rng = [seed, 0])."""
     return DoaModel(kind, hidden=hidden, weight_net_hidden=weight_net_hidden,
-                    gcc_dim=gcc_dim, vis_dim=vis_dim,
+                    gcc_dim=gcc_dim, vis_dim=vis_dim, out_dim=N_CLASSES,
                     rng=np.random.default_rng([seed, 0]))
 
 
@@ -505,16 +491,14 @@ def _model_shapes(kind, gcc_dim, vis_dim, out_dim, hidden, wn_hidden):
     for d_in, d_out in zip(dims, dims[1:]):
         params += [(d_out, d_in), (d_out,), (d_out,), (d_out,)]
     params += [(out_dim, dims[-1]), (out_dim,)]
-    return params, [(d,) for d in hidden for _ in ("mean", "var")]
+    return [params, [(d,) for d in hidden for _ in ("mean", "var")]]
 
 
-def load_checkpoint(path, model=None):
-    """Rebuild (or fill) a model from a checkpoint file.
+def load_checkpoint(path):
+    """Rebuild a model from a checkpoint file's self-describing header.
 
-    With ``model`` given, the file must match its architecture and shapes
-    exactly (ShapeMismatch otherwise); without it a fresh model is built
-    from the self-describing header.  The shapes are checked against the
-    header and the file's size before anything is allocated.
+    The shapes are checked against the header and the file's size before
+    anything is allocated.
     """
     reader = Reader(path)
     reader.header(_MAGIC, _VERSION, "checkpoint file")
@@ -528,20 +512,13 @@ def load_checkpoint(path, model=None):
     weight_net_hidden = reader.take("<I")
     bn_momentum, bn_eps = reader.take("<dd")
     shapes = [_read_block_table(reader), _read_block_table(reader)]
-    if model is None:
-        want = _model_shapes(kind, gcc_dim, vis_dim, out_dim, hidden, weight_net_hidden)
-    elif model.kind != kind:
-        raise ShapeMismatch(f"{path}: checkpoint is {kind!r}, model is {model.kind!r}")
-    else:
-        want = [[p.shape for p in model.parameters()], [s.shape for s in model.bn_stats()]]
-    if list(want) != shapes:
+    if _model_shapes(kind, gcc_dim, vis_dim, out_dim, hidden, weight_net_hidden) != shapes:
         raise ShapeMismatch(f"{path}: parameter shapes do not match the model")
     blocks = [reader.array("<f8", shape) for shape in shapes[0] + shapes[1]]   # views
     if not reader.at_end():
         raise ShapeMismatch(f"{path}: trailing bytes after parameter blocks")
-    if model is None:
-        model = DoaModel(kind, hidden=hidden, weight_net_hidden=weight_net_hidden,
-                         gcc_dim=gcc_dim, vis_dim=vis_dim, out_dim=out_dim, rng=0)
+    model = DoaModel(kind, hidden=hidden, weight_net_hidden=weight_net_hidden,
+                     gcc_dim=gcc_dim, vis_dim=vis_dim, out_dim=out_dim, rng=0)
     for arr, block in zip([*model.parameters(), *model.bn_stats()], blocks):
         arr[...] = block
     for _, bn in model.core.blocks:

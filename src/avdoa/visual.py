@@ -34,25 +34,23 @@ def _axis_track(grid, centers, sigmas):
     return gauss.max(axis=0)
 
 
-def encode_visual(frame, image_w, image_h, length=FEATURE_LENGTH):
-    """Encode a frame's detections as a (2, length) feature.
+def encode_visual(frame, image_w, image_h):
+    """Encode a frame's detections as a (2, FEATURE_LENGTH) feature.
 
-    Row 0 samples the horizontal axis at ``length`` points spanning
+    Row 0 samples the horizontal axis at FEATURE_LENGTH points spanning
     [0, image_w] inclusive, row 1 the vertical axis over [0, image_h].
     Multiple detections combine by pointwise max.  Box centers outside the
     image are still encoded; their tails may reach into the grid.
     """
     if image_w <= 0 or image_h <= 0:
         raise ValueError("image dimensions must be positive")
-    if length < 2:
-        raise ValueError("feature length must be at least 2")
     if not frame.boxes:
-        return np.full((2, length), 1.0 / length)
+        return np.full((2, FEATURE_LENGTH), 1.0 / FEATURE_LENGTH)
     centers = np.array([box.center for box in frame.boxes])
     widths = np.array([box.w for box in frame.boxes])
     heights = np.array([box.h for box in frame.boxes])
-    grid_u = np.linspace(0.0, image_w, length)
-    grid_v = np.linspace(0.0, image_h, length)
+    grid_u = np.linspace(0.0, image_w, FEATURE_LENGTH)
+    grid_v = np.linspace(0.0, image_h, FEATURE_LENGTH)
     return np.stack([
         _axis_track(grid_u, centers[:, 0], widths),
         _axis_track(grid_v, centers[:, 1], heights),

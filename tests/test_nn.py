@@ -441,14 +441,6 @@ class TestCheckpoints:
         trained = hashlib.sha256(path.read_bytes()).hexdigest()
         assert (fresh, trained) == self.GOLDEN[kind]
 
-    def test_wrong_architecture_rejected(self, tmp_path):
-        model, _, _ = self._trained_model("avc")
-        path = tmp_path / "avc.doam"
-        nn.save_checkpoint(model, path)
-        other = nn.build_model("avaw", hidden=(16, 16, 16), weight_net_hidden=8)
-        with pytest.raises(ShapeMismatch):
-            nn.load_checkpoint(path, model=other)
-
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.doam"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
