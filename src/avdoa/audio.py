@@ -91,7 +91,8 @@ def synth_source(kind, duration_s, sample_rate, seed=None, wav_path=None):
       * "speech_like_ar" white noise through a fixed low-order all-pole
                          filter, amplitude-modulated at a syllabic rate so
                          the signal has spectral tilt and near-pauses
-      * "wav_file"       first channel of ``wav_path``, trimmed to duration
+      * "wav_file"       a segment of ``wav_path``'s first channel, as long
+                         as the duration, starting at a seeded random sample
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
@@ -119,7 +120,8 @@ def synth_source(kind, duration_s, sample_rate, seed=None, wav_path=None):
             )
         if audio.n_samples < n:
             raise TooShort(f"{wav_path}: {audio.n_samples} samples < {n} requested")
-        return MultichannelAudio(audio.samples[:1, :n], sample_rate)
+        start = int(rng.integers(audio.n_samples - n + 1))
+        return MultichannelAudio(audio.samples[:1, start:start + n], sample_rate)
     raise ValueError(f"unknown source kind {kind!r}")
 
 

@@ -99,6 +99,17 @@ TRAIN_KEYS = (
 CONFIG_KEYS = {row[1] for row in SIMULATE_KEYS + TRAIN_KEYS}
 
 
+def _parsed(parse, text, where):
+    """``parse(text)``, None for no text; a ValueError becomes a ConfigError
+    naming ``where``, the flag or the config key."""
+    if text is None:
+        return None
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _configured(args, table):
     """Config dataclass keyword arguments set by a flag or, failing that, the
     --config file; a field set by neither keeps the dataclass default."""
@@ -112,10 +123,7 @@ def _configured(args, table):
         if text is None:
             text, where = config_file.get(key), f"config key {key!r}"
         if text is not None:
-            try:
-                values[field] = parse(text)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
+            values[field] = _parsed(parse, text, where)
     return values
 
 
@@ -136,8 +144,9 @@ def cmd_simulate(args):
 # ---------------------------------------------------------------------------
 
 def cmd_features(args):
+    snr, fdsp = _parsed(_finite, args.snr, "--snr"), _parsed(_finite, args.fdsp, "--fdsp")
     ds = dataset_mod.FrameDataset.load(args.dataset)
-    gcc, vis = dataset_mod.extract_features(ds, args.snr, args.fdsp, args.seed)
+    gcc, vis = dataset_mod.extract_features(ds, snr, fdsp, args.seed)
     os.makedirs(args.out, exist_ok=True)
     indices = [f.frame_index for f in ds.frames]
     write_feature_store(os.path.join(args.out, GCC_STORE), list(zip(indices, gcc)))
@@ -261,10 +270,11 @@ def cmd_eval(args):
 
 
 def cmd_baseline(args):
+    snr = _parsed(_finite, args.snr, "--snr")
     ds = dataset_mod.FrameDataset.load(args.dataset)
     rows = _select_subset(len(ds), args.holdout, args.subset)
     subset = ds.subset(rows)
-    gcc = dataset_mod.gcc_stack(subset, args.snr, args.seed)
+    gcc = dataset_mod.gcc_stack(subset, snr, args.seed)
     feature = audio_mod.GccFeature(gcc, *audio_mod.DEFAULT_LAGS, subset.audio.sample_rate)
     srp = audio_mod.srp_phat(feature, subset.array)
     summary = evaluation.score(srp, [f.azimuths for f in subset.frames],
@@ -277,28 +287,25 @@ def cmd_baseline(args):
 # ---------------------------------------------------------------------------
 
 def _parse_snr_levels(text):
-    levels = []
-    for item in text.split(","):
-        item = item.strip().lower()
-        levels.append(None if item == "clean" else float(item))
-    return tuple(levels)
+    return tuple(None if item.strip().lower() == "clean" else _finite(item)
+                 for item in text.split(","))
 
 
 def _parse_fdsp_levels(text):
-    return tuple(float(x) / 100.0 for x in text.split(","))
+    return tuple(_finite(x) / 100.0 for x in text.split(","))
 
 
 def cmd_robustness(args):
+    snr_levels = _parsed(_parse_snr_levels, args.snr_levels, "--snr-levels")
+    fdsp_levels = _parsed(_parse_fdsp_levels, args.fdsp_levels, "--fdsp-levels")
     model = nn.load_checkpoint(args.checkpoint)
     ds = dataset_mod.FrameDataset.load(args.dataset)
     rows = _select_subset(len(ds), args.holdout, args.subset)
     subset = ds.subset(rows)
     grid = evaluation.robustness_grid(
         model, subset,
-        snr_levels=(evaluation.SNR_LEVELS_DB if args.snr_levels is None
-                    else _parse_snr_levels(args.snr_levels)),
-        fdsp_levels=(evaluation.FDSP_LEVELS if args.fdsp_levels is None
-                     else _parse_fdsp_levels(args.fdsp_levels)),
+        snr_levels=evaluation.SNR_LEVELS_DB if snr_levels is None else snr_levels,
+        fdsp_levels=evaluation.FDSP_LEVELS if fdsp_levels is None else fdsp_levels,
         seed=args.seed,
     )
     os.makedirs(args.out, exist_ok=True)
@@ -340,9 +347,9 @@ def build_parser():
     p = sub.add_parser("features", parents=[seeded],
                        help="extract GCC and visual feature stores")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--snr", type=float, default=None,
+    p.add_argument("--snr", default=None,
                    help="corrupt audio at this SNR (dB) before extraction")
-    p.add_argument("--fdsp", type=float, default=0.0,
+    p.add_argument("--fdsp", default="0",
                    help="fraction of frames whose detections get swapped")
     p.set_defaults(func=cmd_features)
 
@@ -377,7 +384,7 @@ def build_parser():
     p = sub.add_parser("baseline", parents=[seeded],
                        help="SRP-PHAT baseline on a dataset")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--snr", type=float, default=None)
+    p.add_argument("--snr", default=None)
     p.add_argument("--holdout", type=float, default=0.0)
     p.add_argument("--subset", default="all", choices=["holdout", "train", "all"])
     p.set_defaults(func=cmd_baseline)

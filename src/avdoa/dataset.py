@@ -362,6 +362,8 @@ def gcc_stack(dataset, snr_db=None, seed=0):
 
 def visual_stack(dataset, fdsp=0.0, seed=0):
     """Per-frame visual features, shape (F, 2, length), after swapping a share ``fdsp``."""
+    if not 0.0 <= fdsp <= 1.0:
+        raise ConfigError(f"FDSP must be a fraction in [0, 1], got {fdsp}")
     detections = dataset.detections
     if fdsp > 0.0:
         detections = visual.swap_detections(detections, fdsp, seed=_seed_list(seed) + [1])
@@ -371,7 +373,8 @@ def visual_stack(dataset, fdsp=0.0, seed=0):
 
 def extract_features(dataset, snr_db=None, fdsp=0.0, seed=0):
     """``gcc_stack`` and ``visual_stack`` of a dataset, each with its own corruption."""
-    return gcc_stack(dataset, snr_db, seed), visual_stack(dataset, fdsp, seed)
+    vis = visual_stack(dataset, fdsp, seed)    # first: it checks fdsp before the GCC pass
+    return gcc_stack(dataset, snr_db, seed), vis
 
 
 def feature_matrices(gcc, vis):

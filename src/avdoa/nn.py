@@ -237,6 +237,8 @@ def encode_target(azimuths_deg, sigma_deg=TrainConfig.target_sigma_deg):
     Class i covers azimuth i - 180 degrees.  A source exactly on a grid
     value yields 1.0 there; distances wrap across +/-180.
     """
+    if not 0.0 < sigma_deg < np.inf:
+        raise ValueError(f"target sigma must be finite and positive, got {sigma_deg}")
     grid = np.arange(N_CLASSES, dtype=float) - 180.0
     target = np.zeros(N_CLASSES)
     for az in azimuths_deg:
@@ -306,12 +308,15 @@ class DoaModel(_Layered):
     def __init__(self, kind, hidden, weight_net_hidden, gcc_dim, vis_dim, out_dim, rng):
         if kind not in _ARCH_TAGS:
             raise ValueError(f"unknown model kind {kind!r}")
+        if not hidden or min(hidden) < 1:
+            raise ShapeMismatch("need at least one hidden layer, and hidden widths >= 1")
         if kind == "gcc_only":
             vis_dim = 0
         if kind != "avaw":
             weight_net_hidden = 0
-        elif vis_dim < 2 or vis_dim % 2:
-            raise ValueError("visual dim must split into two equal, non-empty axis blocks")
+        elif weight_net_hidden < 1 or vis_dim < 2 or vis_dim % 2:
+            raise ShapeMismatch("avaw needs a weight-net width >= 1 and a visual "
+                                "input of two equal, non-empty axis blocks")
         rng = np.random.default_rng(rng)
         self.kind = kind
         self.gcc_dim = gcc_dim
@@ -484,7 +489,7 @@ def _read_block_table(reader):
 
 def _model_shapes(kind, gcc_dim, vis_dim, out_dim, hidden, wn_hidden):
     """Parameter and running-stat shapes of a DoaModel, in checkpoint order."""
-    dims = [gcc_dim + vis_dim, *hidden]
+    dims = [gcc_dim + (0 if kind == "gcc_only" else vis_dim), *hidden]   # as DoaModel
     params = []
     if kind == "avaw":
         params += [(wn_hidden, dims[0]), (wn_hidden,), (3, wn_hidden), (3,)]

@@ -48,9 +48,17 @@ class TestSynthSource:
         ref = audio.synth_source("white", 0.5, 16000, seed=2)
         path = tmp_path / "src.wav"
         audio.save_wav(path, ref)
-        sig = audio.synth_source("wav_file", 0.25, 16000, wav_path=str(path))
-        assert sig.samples.shape == (1, 4000)
-        assert np.allclose(sig.samples[0], ref.samples[0, :4000], atol=1e-6)
+        stored = audio.load_wav(path).samples[0]
+        segments = []
+        for seed in (0, 0, 1):
+            sig = audio.synth_source("wav_file", 0.25, 16000, seed=seed, wav_path=str(path))
+            assert sig.samples.shape == (1, 4000)
+            # a contiguous run of the file's samples
+            starts = [s for s in range(stored.size - 4000 + 1)
+                      if np.array_equal(stored[s:s + 4000], sig.samples[0])]
+            assert len(starts) == 1
+            segments.append(starts[0])
+        assert segments[0] == segments[1] != segments[2]
         with pytest.raises(SampleRateMismatch):
             audio.synth_source("wav_file", 0.25, 48000, wav_path=str(path))
         with pytest.raises(TooShort):

@@ -586,6 +586,35 @@ class TestBaselineCommand:
         assert len(calls) == 160
 
 
+class TestRefusedLevelsAndWidths:
+    """Non-finite or out-of-range corruption levels, a zero target sigma and
+    zero widths exit 2 with one error line, before anything is written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["features", "--snr", "nan"],
+        ["features", "--fdsp", "nan"],
+        ["features", "--fdsp", "-0.5"],
+        ["features", "--fdsp", "1.5"],
+        ["baseline", "--snr", "nan"],
+        ["robustness", "--snr-levels", "nan,clean"],
+        ["robustness", "--fdsp-levels=-50,0"],
+        ["robustness", "--fdsp-levels", "0,nan"],
+        ["train", "--model", "avc", "--sigma", "0"],
+        ["train", "--model", "avc", "--widths", "0,8"],
+        ["train", "--model", "avaw", "--weight-net-hidden", "0"],
+    ])
+    def test_exits_2_and_writes_nothing(self, argv, pipeline, tmp_path, capsys):
+        _, ds, feats, ckpt = pipeline
+        inputs = {"features": ["--dataset", ds], "baseline": ["--dataset", ds],
+                  "robustness": ["--checkpoint", ckpt, "--dataset", ds],
+                  "train": ["--features", feats]}[argv[0]]
+        out = tmp_path / "out"
+        assert run(*argv, *inputs, "--out", out) == 2
+        assert list(tmp_path.iterdir()) == []
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+
+
 class TestThreeMicArray:
     def test_pipeline_sizes_the_model_from_the_stores(self, pipeline, tmp_path):
         _, ds, _, _ = pipeline

@@ -273,6 +273,11 @@ class TestEncodeTarget:
         wide = nn.encode_target([0.0], sigma_deg=16.0)
         assert narrow.sum() < wide.sum()
 
+    @pytest.mark.parametrize("sigma", [0.0, -8.0, np.nan, np.inf])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(ValueError):
+            nn.encode_target([10.0], sigma_deg=sigma)
+
 
 def _whole_network_check(kind, seed):
     rng = np.random.default_rng(seed)
@@ -303,6 +308,12 @@ class TestNetworks:
         with pytest.raises(ShapeMismatch):
             model.forward(rng.standard_normal((3, 300)),
                           rng.standard_normal((3, 102)))
+
+    @pytest.mark.parametrize("kind, hidden, wn_hidden", [
+        ("avc", (), 8), ("gcc_only", (0, 8), 8), ("avc", (8, -1), 8), ("avaw", (8, 8), 0)])
+    def test_degenerate_widths_rejected(self, kind, hidden, wn_hidden):
+        with pytest.raises(ShapeMismatch):
+            nn.build_model(kind, hidden=hidden, weight_net_hidden=wn_hidden)
 
     def test_avc_gradient_fd(self):
         assert _whole_network_check("avc", 10) < 1e-4
@@ -440,6 +451,15 @@ class TestCheckpoints:
         nn.save_checkpoint(model, path)
         trained = hashlib.sha256(path.read_bytes()).hexdigest()
         assert (fresh, trained) == self.GOLDEN[kind]
+
+    def test_audio_only_header_with_visual_input_rejected(self, tmp_path):
+        path = tmp_path / "model.doam"
+        nn.save_checkpoint(nn.build_model("avc", hidden=(3,), gcc_dim=4, vis_dim=2), path)
+        data = bytearray(path.read_bytes())
+        data[6] = 2   # the architecture tag of gcc_only, which has no visual input
+        path.write_bytes(bytes(data))
+        with pytest.raises(ShapeMismatch):
+            nn.load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.doam"
