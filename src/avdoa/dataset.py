@@ -361,7 +361,7 @@ def gcc_stack(dataset, snr_db=None, seed=0):
 
 
 def visual_stack(dataset, fdsp=0.0, seed=0):
-    """Per-frame visual features, shape (F, 2, length), after swapping a share ``fdsp``."""
+    """Per-frame visual features, shape (F, 2, FEATURE_LENGTH), after swapping a share ``fdsp``."""
     if not 0.0 <= fdsp <= 1.0:
         raise ConfigError(f"FDSP must be a fraction in [0, 1], got {fdsp}")
     detections = dataset.detections

@@ -489,7 +489,7 @@ def _read_block_table(reader):
 
 def _model_shapes(kind, gcc_dim, vis_dim, out_dim, hidden, wn_hidden):
     """Parameter and running-stat shapes of a DoaModel, in checkpoint order."""
-    dims = [gcc_dim + (0 if kind == "gcc_only" else vis_dim), *hidden]   # as DoaModel
+    dims = [gcc_dim + (0 if kind == "gcc_only" else vis_dim), *hidden]   # as DoaModel sets it
     params = []
     if kind == "avaw":
         params += [(wn_hidden, dims[0]), (wn_hidden,), (3, wn_hidden), (3,)]
