@@ -23,6 +23,7 @@ from scipy.io import wavfile
 from .errors import (
     AllZeroSpectrum,
     BadWav,
+    ConfigError,
     LagRangeTooSmall,
     SampleRateMismatch,
     SilentSignal,
@@ -171,10 +172,15 @@ def add_noise_at_snr(audio, snr_db, seed=None):
     power = float(np.mean(np.square(audio.samples, dtype=np.float64)))
     if power <= 0:
         raise SilentSignal("cannot set an SNR on an all-zero signal")
+    try:
+        target = power / 10.0 ** (snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):
+        target = 0.0
+    if not 0.0 < target < np.inf:
+        raise ConfigError(f"SNR {snr_db:g} dB needs a noise power outside the float range")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(audio.samples.shape)
     noise_power = float(np.mean(noise**2))
-    target = power / 10.0 ** (snr_db / 10.0)
     noise *= np.sqrt(target / noise_power)
     return MultichannelAudio(audio.samples + noise, audio.sample_rate)
 

@@ -286,36 +286,41 @@ def cmd_baseline(args):
 # robustness grid
 # ---------------------------------------------------------------------------
 
+def _distinct(levels, label):
+    """``levels``, refused when two are equal or share an output label."""
+    labels = [label(level) for level in levels]
+    if len(set(levels)) < len(levels) or len(set(labels)) < len(labels):
+        raise ValueError(f"repeated level among {', '.join(map(str, labels))}")
+    return levels
+
+
 def _parse_snr_levels(text):
-    return tuple(None if item.strip().lower() == "clean" else _finite(item)
-                 for item in text.split(","))
+    return _distinct(tuple(None if item.strip().lower() == "clean" else _finite(item)
+                           for item in text.split(",")), evaluation.snr_label)
 
 
 def _parse_fdsp_levels(text):
-    return tuple(_finite(x) / 100.0 for x in text.split(","))
+    return _distinct(tuple(_finite(x) / 100.0 for x in text.split(",")),
+                     evaluation.fdsp_percent)
 
 
 def cmd_robustness(args):
-    snr_levels = _parsed(_parse_snr_levels, args.snr_levels, "--snr-levels")
-    fdsp_levels = _parsed(_parse_fdsp_levels, args.fdsp_levels, "--fdsp-levels")
+    # a parsed level list is never empty, so None (no flag) takes the default
+    snr_levels = (_parsed(_parse_snr_levels, args.snr_levels, "--snr-levels")
+                  or evaluation.SNR_LEVELS_DB)
+    fdsp_levels = (_parsed(_parse_fdsp_levels, args.fdsp_levels, "--fdsp-levels")
+                   or evaluation.FDSP_LEVELS)
     model = nn.load_checkpoint(args.checkpoint)
     ds = dataset_mod.FrameDataset.load(args.dataset)
     rows = _select_subset(len(ds), args.holdout, args.subset)
     subset = ds.subset(rows)
-    grid = evaluation.robustness_grid(
-        model, subset,
-        snr_levels=evaluation.SNR_LEVELS_DB if snr_levels is None else snr_levels,
-        fdsp_levels=evaluation.FDSP_LEVELS if fdsp_levels is None else fdsp_levels,
-        seed=args.seed,
-    )
+    grid = evaluation.robustness_grid(model, subset, snr_levels, fdsp_levels, args.seed)
     os.makedirs(args.out, exist_ok=True)
     evaluation.write_grid_csv(grid, os.path.join(args.out, "robustness_grid.csv"))
     evaluation.write_plot_data(grid, os.path.join(args.out, "mae_vs_snr.csv"))
     evaluation.render_svg_chart(grid, os.path.join(args.out, "robustness.svg"))
     for snr in grid.snr_levels:
-        cells = "  ".join(
-            f"{mae:6.2f}/{acc:5.1f}" for mae, acc in grid.row(snr)
-        )
+        cells = "  ".join(f"{mae:6.2f}/{acc:5.1f}" for mae, acc in grid.row(snr))
         print(f"SNR {evaluation.snr_label(snr):>5}: {cells}")
 
 

@@ -168,25 +168,29 @@ def snr_label(snr):
     return "clean" if snr is None else f"{snr:g}"
 
 
+def fdsp_percent(fdsp):
+    """An FDSP fraction as the whole percent that labels its column."""
+    return int(round(100 * fdsp))
+
+
 def robustness_grid(model, dataset, snr_levels=SNR_LEVELS_DB, fdsp_levels=FDSP_LEVELS,
                     seed=0):
     """Evaluate a trained model over the SNR x FDSP corruption grid.
 
-    Each cell re-extracts features from the dataset with that cell's audio
-    noise and detection swapping (seeded per cell, so the grid is
-    deterministic), runs the model in eval mode and scores it.
+    One visual stack per FDSP level (first: a bad level fails before any
+    GCC work) times one GCC stack per SNR level, seeded as ``features``
+    seeds them: cell (snr, fdsp) is the model, in eval mode, on
+    ``extract_features(dataset, snr, fdsp, seed)``.
     """
-    from .dataset import extract_features, feature_matrices
+    from .dataset import feature_matrices, gcc_stack, visual_stack
 
     truths = [frame.azimuths for frame in dataset.frames]
+    visuals = [visual_stack(dataset, fdsp, seed) for fdsp in fdsp_levels]
     cells = {}
-    for i, snr in enumerate(snr_levels):
-        for j, fdsp in enumerate(fdsp_levels):
-            gcc, vis = extract_features(
-                dataset, snr_db=snr, fdsp=fdsp, seed=[seed, i, j],
-            )
-            gcc_mat, vis_mat = feature_matrices(gcc, vis)
-            posterior = model.forward(gcc_mat, vis_mat, train=False)
+    for snr in snr_levels:
+        gcc = gcc_stack(dataset, snr, seed)
+        for fdsp, vis in zip(fdsp_levels, visuals):
+            posterior = model.forward(*feature_matrices(gcc, vis), train=False)
             result = score(posterior, truths)["overall"]
             cells[(snr, fdsp)] = (result.mae, result.acc)
     return RobustnessGrid(tuple(snr_levels), tuple(fdsp_levels), cells)
@@ -196,7 +200,7 @@ def _write_table(grid, path, column, cell):
     """CSV with one row per SNR level and one column per FDSP level; each
     cell is ``cell.format(mae, acc)``."""
     with open(path, "w", encoding="utf-8") as fh:
-        header = ["snr_db"] + [f"{column}_{int(round(100 * f))}pct" for f in grid.fdsp_levels]
+        header = ["snr_db"] + [f"{column}_{fdsp_percent(f)}pct" for f in grid.fdsp_levels]
         fh.write(",".join(header) + "\n")
         for snr in grid.snr_levels:
             cells = [cell.format(mae, acc) for mae, acc in grid.row(snr)]
@@ -215,57 +219,43 @@ def write_plot_data(grid, path):
 
 def render_svg_chart(grid, path):
     """Dependency-free static line chart of the MAE-vs-SNR curves."""
-    width, height = 640, 420
-    margin_l, margin_r, margin_t, margin_b = 60, 150, 30, 50
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    width, height, left, right, top, bottom = 640, 420, 60, 150, 30, 50
+    plot_w, plot_h = width - left - right, height - top - bottom
     colors = ["#d62728", "#ff7f0e", "#2ca02c", "#1f77b4", "#9467bd", "#8c564b"]
-    maes = [mae for (mae, _) in grid.cells.values()]
-    y_max = max(maes) * 1.05 or 1.0
-    n_x = len(grid.snr_levels)
+    y_max = max(mae for mae, _ in grid.cells.values()) * 1.05 or 1.0
 
     def x_pos(i):
-        return margin_l + plot_w * (i / max(n_x - 1, 1))
+        return left + plot_w * (i / max(len(grid.snr_levels) - 1, 1))
 
     def y_pos(value):
-        return margin_t + plot_h * (1.0 - value / y_max)
+        return top + plot_h * (1.0 - value / y_max)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin_l}" y1="{margin_t}" x2="{margin_l}" '
-        f'y2="{margin_t + plot_h}" stroke="black"/>',
-        f'<line x1="{margin_l}" y1="{margin_t + plot_h}" '
-        f'x2="{margin_l + plot_w}" y2="{margin_t + plot_h}" stroke="black"/>',
-        f'<text x="{margin_l - 45}" y="{margin_t + plot_h / 2}" font-size="12" '
-        f'transform="rotate(-90 {margin_l - 45} {margin_t + plot_h / 2})">MAE (deg)</text>',
-        f'<text x="{margin_l + plot_w / 2 - 30}" y="{height - 12}" '
+        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
+        f'<line x1="{left}" y1="{top + plot_h}" '
+        f'x2="{left + plot_w}" y2="{top + plot_h}" stroke="black"/>',
+        f'<text x="{left - 45}" y="{top + plot_h / 2}" font-size="12" '
+        f'transform="rotate(-90 {left - 45} {top + plot_h / 2})">MAE (deg)</text>',
+        f'<text x="{left + plot_w / 2 - 30}" y="{height - 12}" '
         f'font-size="12">audio SNR (dB)</text>',
+        *(f'<text x="{x_pos(i) - 10}" y="{top + plot_h + 18}" font-size="11">'
+          f"{snr_label(snr)}</text>" for i, snr in enumerate(grid.snr_levels)),
+        *(f'<text x="{left - 38}" y="{y_pos(tick) + 4}" font-size="11">{tick:.0f}</text>'
+          for tick in np.linspace(0.0, y_max, 5)),
     ]
-    for i, snr in enumerate(grid.snr_levels):
-        parts.append(
-            f'<text x="{x_pos(i) - 10}" y="{margin_t + plot_h + 18}" font-size="11">'
-            f"{snr_label(snr)}</text>"
-        )
-    for tick in np.linspace(0.0, y_max, 5):
-        parts.append(
-            f'<text x="{margin_l - 38}" y="{y_pos(tick) + 4}" '
-            f'font-size="11">{tick:.0f}</text>'
-        )
     for j, fdsp in enumerate(grid.fdsp_levels):
-        color = colors[j % len(colors)]
-        points = " ".join(
-            f"{x_pos(i):.1f},{y_pos(grid.cells[(snr, fdsp)][0]):.1f}"
-            for i, snr in enumerate(grid.snr_levels)
-        )
-        parts.append(f'<polyline points="{points}" fill="none" '
-                     f'stroke="{color}" stroke-width="2"/>')
-        ly = margin_t + 16 * j + 10
-        parts.append(f'<line x1="{width - margin_r + 10}" y1="{ly}" '
-                     f'x2="{width - margin_r + 35}" y2="{ly}" '
-                     f'stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{width - margin_r + 42}" y="{ly + 4}" font-size="11">'
-                     f"FDSP {int(round(100 * fdsp))}%</text>")
+        color, ly = colors[j % len(colors)], top + 16 * j + 10
+        points = " ".join(f"{x_pos(i):.1f},{y_pos(grid.cells[(snr, fdsp)][0]):.1f}"
+                          for i, snr in enumerate(grid.snr_levels))
+        parts += [
+            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>',
+            f'<line x1="{width - right + 10}" y1="{ly}" x2="{width - right + 35}" y2="{ly}" '
+            f'stroke="{color}" stroke-width="2"/>',
+            f'<text x="{width - right + 42}" y="{ly + 4}" font-size="11">'
+            f"FDSP {fdsp_percent(fdsp)}%</text>",
+        ]
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

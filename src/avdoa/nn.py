@@ -134,7 +134,7 @@ class BatchNorm:
     running estimate, so an eval pass with running stats equal to a batch's
     stats reproduces the training-mode output.  eps is tiny because
     everything runs in float64; it only guards exactly-constant features.
-    A loaded checkpoint sets both to the values stored in it.
+    Both are constants: checkpoints store them, and loading refuses others.
     """
 
     momentum = 0.9
@@ -459,7 +459,6 @@ def save_checkpoint(model, path):
     """
     params = model.parameters()
     stats = model.bn_stats()
-    first_bn = model.core.blocks[0][1]
     header = [
         _MAGIC,
         struct.pack("<H", _VERSION),
@@ -468,7 +467,7 @@ def save_checkpoint(model, path):
         struct.pack("<H", len(model.hidden)),
         struct.pack(f"<{len(model.hidden)}I", *model.hidden),
         struct.pack("<I", model.weight_net_hidden),
-        struct.pack("<dd", first_bn.momentum, first_bn.eps),
+        struct.pack("<dd", BatchNorm.momentum, BatchNorm.eps),
         _pack_block_table(params),
         _pack_block_table(stats),
     ]
@@ -515,7 +514,8 @@ def load_checkpoint(path):
     n_hidden = reader.take("<H")
     hidden = tuple(np.atleast_1d(reader.take(f"<{n_hidden}I")))
     weight_net_hidden = reader.take("<I")
-    bn_momentum, bn_eps = reader.take("<dd")
+    if reader.take("<dd") != (BatchNorm.momentum, BatchNorm.eps):
+        raise VersionMismatch(f"{path}: batch-norm momentum/eps differ from the constants")
     shapes = [_read_block_table(reader), _read_block_table(reader)]
     if _model_shapes(kind, gcc_dim, vis_dim, out_dim, hidden, weight_net_hidden) != shapes:
         raise ShapeMismatch(f"{path}: parameter shapes do not match the model")
@@ -526,6 +526,4 @@ def load_checkpoint(path):
                      gcc_dim=gcc_dim, vis_dim=vis_dim, out_dim=out_dim, rng=0)
     for arr, block in zip([*model.parameters(), *model.bn_stats()], blocks):
         arr[...] = block
-    for _, bn in model.core.blocks:
-        bn.momentum, bn.eps = bn_momentum, bn_eps
     return model

@@ -1,11 +1,14 @@
-"""The benchmark's ``simulate`` round, at full size, checked at several seeds.
+"""Full-size benchmark rounds, checked as a benchmark run checks them.
 
 The benchmark's own self-tests run each workload at one seed and a tiny
 size.  This runs one full-size ``simulate`` round (simulate, features and
 baseline on a new 200-frame scene) and the benchmark's checks of it at
 seeds 0-4, so a fault that shows at some seeds only fails here too.  As
 in a benchmark run, a second round must write the first round's bytes.
-``benchmark/workloads.py`` is imported as it is.
+One full-size ``grid`` round (the 5 x 5 robustness grid and SRP-PHAT per
+SNR on the held-out frames of a 500-frame scene, with a model of the
+paper's widths) is checked at seed 7.  ``benchmark/workloads.py`` is
+imported as it is.
 """
 
 import os
@@ -36,3 +39,10 @@ def test_a_second_simulate_round_writes_the_same_bytes(tmp_path):
         workload.run_round(str(tmp_path / f"round{k}"))
     assert workload.fingerprint(str(tmp_path / "round1")) == \
         workload.fingerprint(str(tmp_path / "round0"))
+
+
+def test_a_grid_round_passes_the_benchmark_checks(tmp_path):
+    workload = workloads.Grid(7, "full", workloads.checked_cli(avdoa))
+    workload.build(str(tmp_path))
+    workload.run_round(str(tmp_path / "round0"))
+    workload.check(str(tmp_path / "round0"), avdoa)

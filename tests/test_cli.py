@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import shutil
+import struct
 import time
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from avdoa import audio, cli, evaluation, nn, visual
 from avdoa.cli import main
-from avdoa.errors import ConfigError
+from avdoa.errors import ConfigError, VersionMismatch
 from avdoa.store import read_feature_store, write_feature_store
 
 
@@ -587,8 +588,10 @@ class TestBaselineCommand:
 
 
 class TestRefusedLevelsAndWidths:
-    """Non-finite or out-of-range corruption levels, a zero target sigma and
-    zero widths exit 2 with one error line, before anything is written."""
+    """Non-finite, out-of-range or repeated corruption levels, a zero target
+    sigma and zero widths exit 2 with one error line, before anything is
+    written.  An SNR is out of range when its noise power is not a finite
+    positive float."""
 
     @pytest.mark.parametrize("argv", [
         ["features", "--snr", "nan"],
@@ -602,6 +605,17 @@ class TestRefusedLevelsAndWidths:
         ["train", "--model", "avc", "--sigma", "0"],
         ["train", "--model", "avc", "--widths", "0,8"],
         ["train", "--model", "avaw", "--weight-net-hidden", "0"],
+        ["features", "--snr", "1e300"],
+        ["features", "--snr=-1e300"],
+        ["features", "--snr=-4000"],
+        ["baseline", "--snr", "1e300"],
+        ["baseline", "--snr=-4000"],
+        ["robustness", "--snr-levels", "clean,1e300"],
+        ["robustness", "--snr-levels=-4000,clean"],
+        ["robustness", "--snr-levels", "0,0", "--fdsp-levels", "0,0"],
+        ["robustness", "--snr-levels", "0,clean,CLEAN"],
+        ["robustness", "--snr-levels", "0,-0"],
+        ["robustness", "--fdsp-levels", "0,10,10.4"],
     ])
     def test_exits_2_and_writes_nothing(self, argv, pipeline, tmp_path, capsys):
         _, ds, feats, ckpt = pipeline
@@ -613,6 +627,30 @@ class TestRefusedLevelsAndWidths:
         assert list(tmp_path.iterdir()) == []
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1 and errors[0].startswith("error: ")
+
+    @pytest.mark.parametrize("flag, levels", [
+        ("--snr-levels", "10,clean,10.0"),
+        ("--fdsp-levels", "10,10.4"),
+    ])
+    def test_repeated_levels_name_the_flag(self, flag, levels, pipeline, tmp_path, capsys):
+        _, ds, _, ckpt = pipeline
+        assert run("robustness", "--checkpoint", ckpt, "--dataset", ds, flag, levels,
+                   "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+
+class TestCheckpointBatchNormConstants:
+    def test_other_eps_is_refused(self, pipeline, tmp_path):
+        _, _, feats, ckpt = pipeline
+        blob = ckpt.read_bytes()
+        at = blob.index(struct.pack("<dd", nn.BatchNorm.momentum, nn.BatchNorm.eps)) + 8
+        patched = tmp_path / "patched.doam"
+        patched.write_bytes(blob[:at] + struct.pack("<d", 1e-5) + blob[at + 8:])
+        with pytest.raises(VersionMismatch):
+            nn.load_checkpoint(patched)
+        assert run("eval", "--checkpoint", patched, "--features", feats,
+                   "--out", tmp_path / "eval") == 2
+        assert not (tmp_path / "eval").exists()
 
 
 class TestThreeMicArray:

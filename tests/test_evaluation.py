@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from avdoa import evaluation, nn
+from avdoa import audio, dataset, evaluation, nn, visual
 from avdoa.errors import CardinalityMismatch, EmptyDataset
 from helpers import first_cheapest_matching, three_pass_decode_doa
 
@@ -213,3 +213,48 @@ class TestGridCsv:
         assert lines[1].startswith("-10,")
         assert lines[3].startswith("clean,")
         assert len(lines) == 4
+
+
+class TestRobustnessGrid:
+    """The grid is one GCC stack per SNR level times one visual stack per
+    FDSP level, corrupted the way ``extract_features`` corrupts them."""
+
+    SNRS = (-10.0, 10.0, None)
+    FDSPS = (0.0, 0.3, 0.7)
+
+    @pytest.fixture(scope="class")
+    def ds(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("grid") / "ds"
+        config = dataset.ScenarioConfig(frames=12, source_counts={1: 0.5, 2: 0.5},
+                                        visibility=0.5, source_kind="white", seed=4)
+        dataset.simulate(config, out)
+        return dataset.FrameDataset.load(out)
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return nn.build_model("avc", hidden=(8, 8, 8), seed=1)
+
+    def test_every_cell_is_the_model_on_extract_features(self, ds, model):
+        grid = evaluation.robustness_grid(model, ds, self.SNRS, self.FDSPS, seed=5)
+        truths = [f.azimuths for f in ds.frames]
+        for snr in self.SNRS:
+            for fdsp in self.FDSPS:
+                gcc, vis = dataset.extract_features(ds, snr, fdsp, 5)
+                posterior = model.forward(*dataset.feature_matrices(gcc, vis), train=False)
+                result = evaluation.score(posterior, truths)["overall"]
+                assert grid.cells[(snr, fdsp)] == (result.mae, result.acc)
+
+    def test_one_gcc_pass_per_snr_and_one_visual_pass_per_fdsp(self, ds, model, monkeypatch):
+        calls = {"gcc": 0, "visual": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(audio, "gcc_feature", counted("gcc", audio.gcc_feature))
+        monkeypatch.setattr(visual, "encode_visual", counted("visual", visual.encode_visual))
+        evaluation.robustness_grid(model, ds, self.SNRS, self.FDSPS, seed=5)
+        assert calls["gcc"] == len(self.SNRS) * len(ds)
+        assert calls["visual"] == len(self.FDSPS) * len(ds)
