@@ -41,11 +41,11 @@ GOLDEN = {
     "eval.stdout":
         "f417d0d13aadbc9233dd0a21e82c9e3c963442e67872e8a8a009d9cf1f1d6f3e",
     "grid/robustness_grid.csv":
-        "155ba385b52b26bcdace42888c94e95dbc523de1ccd4bf620bd274b4d0d10cd0",
+        "7b4bdf2da5727ed7573fd46f1771f88c3cd95872ae498fee43195dfb7c155d73",
     "grid/mae_vs_snr.csv":
-        "18992d2213e69e31bf3942c49cecff1e939cbe2be5bf08db27b278d09522ef1c",
+        "6b6c21783cc95e21884909492903eb08a194a8c418b6e5876169c0cd3e79de33",
     "grid.stdout":
-        "bdf175c981f40079fdb88651edef18a8927f2bbd23ab04f31b0e9ac46a5e8d3d",
+        "b7fa240e9e65546d7bc10da9ffab4d9a86c49f6a111cc9653c8bc9a64d1e3fe8",
     "srp/baseline_results.jsonl":
         "18fe5d783c7aeb66b151cc2a666686b5dc4c9a267701b8314c9618a120c96187",
     "srp/baseline_summary.csv":
