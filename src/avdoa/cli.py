@@ -202,7 +202,7 @@ def cmd_train(args):
     model = nn.build_model(args.model, hidden=config.hidden,
                            weight_net_hidden=config.weight_net_hidden,
                            seed=config.seed, gcc_dim=gcc.shape[1],
-                           vis_dim=0 if vis is None else vis.shape[1])
+                           vis_dim=0 if vis is None else vis.shape[1], dtype=np.float32)
     history = nn.train_model(
         model,
         gcc[train_idx],

@@ -142,7 +142,8 @@ def simulate(config, out_dir, array=None, calibration=None):
     cal = calibration if calibration is not None else default_calibration()
     frame_samples = int(round(config.frame_len_s * config.sample_rate))
 
-    buffer = np.zeros((array.n_mics, config.frames * frame_samples), dtype=np.float32)
+    # time-major, so the WAV writer gets C-contiguous (frames, channels) data
+    buffer = np.zeros((config.frames * frame_samples, array.n_mics), dtype=np.float32)
     records = []
     detection_frames = []
     count_values = sorted(config.source_counts)
@@ -174,7 +175,7 @@ def simulate(config, out_dir, array=None, calibration=None):
                     boxes.append(box)
         frame_audio = audio_mod.render_array(rendered, array)
         start = f * frame_samples
-        buffer[:, start:start + frame_samples] = frame_audio.samples[:, :frame_samples]
+        buffer[start:start + frame_samples] = frame_audio.samples[:, :frame_samples].T
         records.append(FrameRecord(
             frame_index=f,
             timestamp_s=f * config.frame_len_s,
@@ -188,7 +189,7 @@ def simulate(config, out_dir, array=None, calibration=None):
     geom.save_calibration(cal, os.path.join(out_dir, "camera.txt"))
     audio_mod.save_wav(
         os.path.join(out_dir, "audio.wav"),
-        audio_mod.MultichannelAudio(buffer, config.sample_rate),
+        audio_mod.MultichannelAudio(buffer.T, config.sample_rate),
     )
     visual.save_detections(detection_frames, os.path.join(out_dir, "detections.jsonl"))
     header = {

@@ -1,8 +1,10 @@
 """Feedforward networks for azimuth classification, built from scratch.
 
-Everything runs in float64 numpy with hand-written analytic gradients so
-training is deterministic and every layer can be checked against finite
-differences.  One model class, ``DoaModel``, serves all three networks.
+Plain numpy with hand-written analytic gradients, so training is
+deterministic.  A model computes in its ``dtype``: float64 by default, so
+every layer can be checked against finite differences, or float32, which
+halves the bytes each layer moves and is what the CLI trains, saves and
+scores in.  One model class, ``DoaModel``, serves all three networks.
 They share the trunk (MLP3, three Dense -> BatchNorm -> ReLU blocks
 followed by a sigmoid output layer over 360 one-degree azimuth classes)
 and differ only in the input stage named by ``kind``:
@@ -132,8 +134,8 @@ class BatchNorm:
     ``momentum`` is the fraction of the old running estimate kept per
     update.  Variances are biased (ddof=0) both in training and in the
     running estimate, so an eval pass with running stats equal to a batch's
-    stats reproduces the training-mode output.  eps is tiny because
-    everything runs in float64; it only guards exactly-constant features.
+    stats reproduces the training-mode output.  eps is tiny: it only guards
+    exactly-constant features, and stays a normal number in float32 too.
     Both are constants: checkpoints store them, and loading refuses others.
     """
 
@@ -180,7 +182,11 @@ class BatchNorm:
 
 
 class Adam:
-    """Adam with bias correction; state (m, v, t) lives on the optimizer."""
+    """Adam with bias correction; state (m, v, t) lives on the optimizer.
+
+    The state and scratch take the parameters' dtype, which must be one
+    dtype shared by every parameter and gradient.
+    """
 
     beta1 = 0.9
     beta2 = 0.999
@@ -190,16 +196,19 @@ class Adam:
     def __init__(self, learning_rate=TrainConfig.learning_rate):
         self.learning_rate = learning_rate
         self.step_count = 0
-        self._m = None
-        self._v = None
-        self._scratch = (np.empty(self._CHUNK), np.empty(self._CHUNK))
+        self._m = self._v = self._scratch = None
 
     def step(self, params, grads):
+        dtypes = {a.dtype for a in (*params, *grads)}
+        if len(dtypes) > 1:
+            raise ShapeMismatch(f"parameters and gradients of mixed dtypes "
+                                f"{sorted(map(str, dtypes))}")
         if self._m is None:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
-        if len(params) != len(self._m):
-            raise ShapeMismatch("parameter list changed between steps")
+            self._scratch = tuple(np.empty(self._CHUNK, *dtypes) for _ in range(2))
+        if len(params) != len(self._m) or dtypes - {self._scratch[0].dtype}:
+            raise ShapeMismatch("parameter list or dtype changed between steps")
         for p, g in zip(params, grads):
             if p.shape != g.shape or not (p.flags.c_contiguous and g.flags.c_contiguous):
                 raise ShapeMismatch("need C-contiguous parameters and gradients of equal shape")
@@ -302,12 +311,17 @@ class DoaModel(_Layered):
 
     The avaw weight net draws from ``rng`` before the trunk, so checkpoints
     and seeded runs keep their bytes; its latest softmax weights are kept
-    on ``last_weights``.
+    on ``last_weights``.  The init is drawn in float64 and then cast to
+    ``dtype`` (float32 or float64), the dtype the model computes in; inputs
+    are cast to it too.
     """
 
-    def __init__(self, kind, hidden, weight_net_hidden, gcc_dim, vis_dim, out_dim, rng):
+    def __init__(self, kind, hidden, weight_net_hidden, gcc_dim, vis_dim, out_dim, rng,
+                 dtype=np.float64):
         if kind not in _ARCH_TAGS:
             raise ValueError(f"unknown model kind {kind!r}")
+        if np.dtype(dtype) not in _BLOCK_DTYPES.values():
+            raise ValueError(f"model dtype must be float32 or float64, got {dtype}")
         if not hidden or min(hidden) < 1:
             raise ShapeMismatch("need at least one hidden layer, and hidden widths >= 1")
         if kind == "gcc_only":
@@ -329,21 +343,28 @@ class DoaModel(_Layered):
             self.wn1 = Dense(gcc_dim + vis_dim, weight_net_hidden, rng)
             self.wn2 = Dense(weight_net_hidden, 3, rng)
         self.core = Mlp3(gcc_dim + vis_dim, hidden, out_dim, rng)
+        self.dtype = np.dtype(dtype)
+        for layer in self.layers():
+            for name in (*layer.PARAMS, *layer.STATS, *("grad_" + n for n in layer.PARAMS)):
+                setattr(layer, name, getattr(layer, name).astype(self.dtype, copy=False))
 
-    def _check(self, gcc, vis):
+    def _checked(self, gcc, vis):
+        """The inputs in the model's dtype (no visual input for audio only)."""
+        gcc = np.asarray(gcc, dtype=self.dtype)
         if gcc.ndim != 2 or gcc.shape[1] != self.gcc_dim:
             raise ShapeMismatch(f"expected (batch, {self.gcc_dim}) GCC input, got {gcc.shape}")
         if not self.vis_dim:
-            return      # audio only: any visual input is ignored
+            return gcc, None      # audio only: any visual input is ignored
         if vis is None or vis.ndim != 2 or vis.shape[1] != self.vis_dim:
             shape = None if vis is None else vis.shape
             raise ShapeMismatch(f"expected (batch, {self.vis_dim}) visual input, got {shape}")
         if vis.shape[0] != gcc.shape[0]:
             raise ShapeMismatch("audio and visual batches differ in size")
+        return gcc, np.asarray(vis, dtype=self.dtype)
 
     def adaptive_weights(self, gcc, vis):
         """Softmax-normalized (audio, horizontal, vertical) weights, (B, 3)."""
-        self._check(gcc, vis)
+        gcc, vis = self._checked(gcc, vis)
         self._wn_pre = self.wn1.forward(np.concatenate([gcc, vis], axis=1))
         return softmax(self.wn2.forward(relu(self._wn_pre)))
 
@@ -353,7 +374,7 @@ class DoaModel(_Layered):
         return [gcc, vis[:, :half], vis[:, half:]]
 
     def forward(self, gcc, vis=None, train=False):
-        self._check(gcc, vis)
+        gcc, vis = self._checked(gcc, vis)
         if not self.vis_dim:
             return self.core.forward(gcc, train)
         blocks = [gcc, vis]
@@ -381,11 +402,11 @@ class DoaModel(_Layered):
 
 def build_model(kind, hidden=TrainConfig.hidden,
                 weight_net_hidden=TrainConfig.weight_net_hidden, seed=0,
-                gcc_dim=GCC_DIM, vis_dim=VIS_DIM):
+                gcc_dim=GCC_DIM, vis_dim=VIS_DIM, dtype=np.float64):
     """Construct a model with seeded initialization (init rng = [seed, 0])."""
     return DoaModel(kind, hidden=hidden, weight_net_hidden=weight_net_hidden,
                     gcc_dim=gcc_dim, vis_dim=vis_dim, out_dim=N_CLASSES,
-                    rng=np.random.default_rng([seed, 0]))
+                    rng=np.random.default_rng([seed, 0]), dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +417,18 @@ def train_model(model, gcc, vis, targets, config):
     """MSE training loop with seeded shuffling and Adam updates.
 
     Fully deterministic for a fixed config seed: shuffling uses rng
-    [seed, 1] so it is independent of the model-init stream.  Raises
-    NaNLoss the moment a loss or parameter stops being finite.  Returns
-    the per-epoch mean batch loss.
+    [seed, 1] so it is independent of the model-init stream.  Features and
+    targets are cast to the model's dtype.  Raises NaNLoss the moment a
+    loss or parameter stops being finite.  Returns the per-epoch mean
+    batch loss.
     """
     n = len(gcc)
     if n < 2:
         raise EmptyDataset("training needs at least two samples")
     if len(targets) != n or (vis is not None and len(vis) != n):
         raise ShapeMismatch("feature and target row counts differ")
+    gcc, targets = (np.asarray(a, dtype=model.dtype) for a in (gcc, targets))
+    vis = None if vis is None else np.asarray(vis, dtype=model.dtype)
     adam = Adam(config.learning_rate)
     rng = np.random.default_rng([config.seed, 1])
     params = model.parameters()
@@ -436,7 +460,8 @@ def train_model(model, gcc, vis, targets, config):
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"DOAM"
-_VERSION = 1
+_VERSION = 2                                       # version 1: no dtype code, f8 blocks
+_BLOCK_DTYPES = {4: np.float32, 8: np.float64}     # dtype code (its itemsize) -> dtype
 _ARCH_TAGS = {"avc": 0, "avaw": 1, "gcc_only": 2}
 _TAG_ARCHS = {v: k for k, v in _ARCH_TAGS.items()}
 
@@ -452,16 +477,18 @@ def _pack_block_table(arrays):
 def save_checkpoint(model, path):
     """Serialize architecture, parameters and batch-norm running stats.
 
-    Layout: magic "DOAM", version u16, arch tag u8, dims header, shape
-    tables, then little-endian f64 blocks (trainable parameters in
-    declaration order, then running stats).  Byte-stable: save, load and
-    save again produces an identical file.
+    Layout: magic "DOAM", version u16, dtype code u8 (4 = f4, 8 = f8),
+    arch tag u8, dims header, shape tables, then little-endian blocks of
+    the model's dtype (trainable parameters in declaration order, then
+    running stats).  Byte-stable: save, load and save again produces an
+    identical file.
     """
     params = model.parameters()
     stats = model.bn_stats()
+    block = model.dtype.newbyteorder("<")
     header = [
         _MAGIC,
-        struct.pack("<H", _VERSION),
+        struct.pack("<HB", _VERSION, model.dtype.itemsize),
         struct.pack("<B", _ARCH_TAGS[model.kind]),
         struct.pack("<III", model.gcc_dim, model.vis_dim, model.out_dim),
         struct.pack("<H", len(model.hidden)),
@@ -472,7 +499,7 @@ def save_checkpoint(model, path):
         _pack_block_table(stats),
     ]
     blob = b"".join(header) + b"".join(
-        np.ascontiguousarray(a).astype("<f8").tobytes() for a in [*params, *stats]
+        np.ascontiguousarray(a).astype(block).tobytes() for a in [*params, *stats]
     )
     with open(path, "wb") as fh:
         fh.write(blob)
@@ -502,10 +529,15 @@ def load_checkpoint(path):
     """Rebuild a model from a checkpoint file's self-describing header.
 
     The shapes are checked against the header and the file's size before
-    anything is allocated.
+    anything is allocated.  The model takes the file's dtype; a version-1
+    file, which has no dtype code, holds float64.
     """
     reader = Reader(path)
-    reader.header(_MAGIC, _VERSION, "checkpoint file")
+    version = reader.header(_MAGIC, (1, _VERSION), "checkpoint file")
+    code = reader.take("<B") if version > 1 else 8
+    if code not in _BLOCK_DTYPES:
+        raise VersionMismatch(f"{path}: unknown parameter dtype code {code}")
+    dtype = np.dtype(_BLOCK_DTYPES[code])
     arch = reader.take("<B")
     if arch not in _TAG_ARCHS:
         raise VersionMismatch(f"{path}: unknown architecture tag {arch}")
@@ -519,11 +551,12 @@ def load_checkpoint(path):
     shapes = [_read_block_table(reader), _read_block_table(reader)]
     if _model_shapes(kind, gcc_dim, vis_dim, out_dim, hidden, weight_net_hidden) != shapes:
         raise ShapeMismatch(f"{path}: parameter shapes do not match the model")
-    blocks = [reader.array("<f8", shape) for shape in shapes[0] + shapes[1]]   # views
+    blocks = [reader.array(dtype.newbyteorder("<"), shape)   # views
+              for shape in shapes[0] + shapes[1]]
     if not reader.at_end():
         raise ShapeMismatch(f"{path}: trailing bytes after parameter blocks")
     model = DoaModel(kind, hidden=hidden, weight_net_hidden=weight_net_hidden,
-                     gcc_dim=gcc_dim, vis_dim=vis_dim, out_dim=out_dim, rng=0)
+                     gcc_dim=gcc_dim, vis_dim=vis_dim, out_dim=out_dim, rng=0, dtype=dtype)
     for arr, block in zip([*model.parameters(), *model.bn_stats()], blocks):
         arr[...] = block
     return model

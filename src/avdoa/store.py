@@ -117,13 +117,18 @@ class Reader:
         self.pos += size
         return start
 
-    def header(self, magic, version, what):
-        """Check the magic bytes and the u16 format version after them."""
+    def header(self, magic, versions, what):
+        """Check the magic bytes and the u16 format version after them.
+
+        Returns the version, which must be one of ``versions``.
+        """
         if self.data[self._advance(len(magic)):self.pos] != magic:
             raise BadMagic(f"{self.path}: not a {what}")
         found = self.take("<H")
-        if found != version:
-            raise VersionMismatch(f"{self.path}: version {found}, expected {version}")
+        if found not in versions:
+            expected = " or ".join(map(str, versions))
+            raise VersionMismatch(f"{self.path}: version {found}, expected {expected}")
+        return found
 
     def take(self, fmt):
         """The values of a struct format: one value bare, else a tuple (maybe empty)."""
@@ -161,7 +166,7 @@ def write_feature_store(path, frames):
 def read_feature_store(path):
     """Read back all records as (frame_index, read-only float32 (P, L) array) pairs."""
     reader = Reader(path)
-    reader.header(_MAGIC, _VERSION, "feature store")
+    reader.header(_MAGIC, (_VERSION,), "feature store")
     frames = []
     while True:
         frame_index, p, l = reader.take("<IHH")

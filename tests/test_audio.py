@@ -222,6 +222,16 @@ class TestGccFeature:
         double = audio.gcc_feature(audio.MultichannelAudio(x.astype(np.float64), 48000)).values
         assert np.array_equal(single, double)
 
+    @pytest.mark.parametrize("exponent", [1000, -1000])
+    def test_huge_and_tiny_frames_give_the_unscaled_values(self, exponent):
+        # each channel's spectrum is scaled by a power of two before the
+        # cross spectra, so 2**1000 cannot overflow them and nothing is rounded
+        x = np.random.default_rng(5).standard_normal((4, 8160))
+        x[2] *= 3.0
+        want = audio.gcc_feature(audio.MultichannelAudio(x, 48000)).values
+        got = audio.gcc_feature(audio.MultichannelAudio(np.ldexp(x, exponent), 48000)).values
+        assert np.array_equal(got, want)
+
     def test_silent_frame_error(self):
         frame = audio.MultichannelAudio(np.zeros((4, 2048)), 48000)
         with pytest.raises(AllZeroSpectrum):

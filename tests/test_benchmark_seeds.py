@@ -7,8 +7,10 @@ seeds 0-4, so a fault that shows at some seeds only fails here too.  As
 in a benchmark run, a second round must write the first round's bytes.
 One full-size ``grid`` round (the 5 x 5 robustness grid and SRP-PHAT per
 SNR on the held-out frames of a 500-frame scene, with a model of the
-paper's widths) is checked at seed 7.  ``benchmark/workloads.py`` is
-imported as it is.
+paper's widths) is checked at seed 7.  Two full-size ``train`` rounds
+(train and eval of each of the three networks at the paper's widths on a
+500-frame scene) run at seed 3: the first is checked, and the second must
+write the first's bytes.  ``benchmark/workloads.py`` is imported as it is.
 """
 
 import os
@@ -46,3 +48,24 @@ def test_a_grid_round_passes_the_benchmark_checks(tmp_path):
     workload.build(str(tmp_path))
     workload.run_round(str(tmp_path / "round0"))
     workload.check(str(tmp_path / "round0"), avdoa)
+
+
+@pytest.fixture(scope="module")
+def train_rounds(tmp_path_factory):
+    root = tmp_path_factory.mktemp("train")
+    workload = workloads.Train(3, "full", workloads.checked_cli(avdoa))
+    workload.build(str(root))
+    for k in range(2):
+        workload.run_round(str(root / f"round{k}"))
+    return workload, root
+
+
+def test_a_train_round_passes_the_benchmark_checks(train_rounds):
+    workload, root = train_rounds
+    workload.check(str(root / "round0"), avdoa)
+
+
+def test_a_second_train_round_writes_the_same_bytes(train_rounds):
+    workload, root = train_rounds
+    assert workload.fingerprint(str(root / "round1")) == \
+        workload.fingerprint(str(root / "round0"))

@@ -222,6 +222,16 @@ class TestFeatures:
         assert sha256(swapped / "gcc.doaf") == sha256(feats / "gcc.doaf")
         assert sha256(swapped / "visual.doaf") != sha256(feats / "visual.doaf")
 
+    def test_very_low_snr_gives_finite_gcc(self, tmp_path):
+        # noise about 1e154 times the signal: its cross spectra would overflow
+        # without the per-channel power-of-two scaling
+        ds = tmp_path / "ds"
+        assert run("simulate", "--out", ds, "--frames", 20, "--seed", 2) == 0
+        assert run("features", "--dataset", ds, "--snr=-3080", "--seed", 1,
+                   "--out", tmp_path / "f") == 0
+        gcc = read_feature_store(tmp_path / "f" / "gcc.doaf")
+        assert len(gcc) == 20 and all(np.all(np.isfinite(values)) for _, values in gcc)
+
     def test_missing_dataset_exits_4(self, tmp_path):
         assert run("features", "--dataset", tmp_path / "missing",
                    "--out", tmp_path / "o") == 4
@@ -319,7 +329,7 @@ class TestEvalCommand:
     def test_zero_hidden_layer_checkpoint_exits_2(self, pipeline, tmp_path):
         _, _, feats, ckpt = pipeline
         data = bytearray(ckpt.read_bytes())
-        data[19:21] = (0).to_bytes(2, "little")   # the hidden-layer count
+        data[20:22] = (0).to_bytes(2, "little")   # the hidden-layer count
         bad = tmp_path / "zero.doam"
         bad.write_bytes(bytes(data))
         assert run("eval", "--checkpoint", bad, "--features", feats,
@@ -328,7 +338,7 @@ class TestEvalCommand:
     def test_huge_width_in_header_exits_2_at_once(self, pipeline, tmp_path, capsys):
         _, _, feats, ckpt = pipeline
         data = bytearray(ckpt.read_bytes())
-        data[21:25] = (3_000_000_000).to_bytes(4, "little")   # the first hidden width
+        data[22:26] = (3_000_000_000).to_bytes(4, "little")   # the first hidden width
         bad = tmp_path / "wide.doam"
         bad.write_bytes(bytes(data))
         start = time.perf_counter()

@@ -1,9 +1,11 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 
 from avdoa import nn
+from avdoa.cli import main as cli_main
 from avdoa.errors import (
     AvdoaError,
     BadMagic,
@@ -216,19 +218,20 @@ class TestAdam:
         assert adam.step_count == 5
         assert p[0] < -0.004   # roughly lr per step under constant gradient
 
-    def test_large_parameters_match_whole_array_update(self):
+    @staticmethod
+    def _match_whole_array_update(dtype):
         # parameters far larger than one update chunk, and not a multiple
         # of it, match the whole-array Adam formulas bit for bit
         rng = np.random.default_rng(0)
         shapes = [(300, 701), (701,), (3,)]
-        params = [rng.standard_normal(s) for s in shapes]
+        params = [rng.standard_normal(s).astype(dtype) for s in shapes]
         expected = [p.copy() for p in params]
-        m = [np.zeros(s) for s in shapes]
-        v = [np.zeros(s) for s in shapes]
+        m = [np.zeros(s, dtype) for s in shapes]
+        v = [np.zeros(s, dtype) for s in shapes]
         adam = nn.Adam()
         b1, b2, lr, eps = adam.beta1, adam.beta2, adam.learning_rate, adam.eps
         for t in range(1, 4):
-            grads = [rng.standard_normal(s) for s in shapes]
+            grads = [rng.standard_normal(s).astype(dtype) for s in shapes]
             adam.step(params, grads)
             bc1 = 1.0 - b1**t
             bc2 = 1.0 - b2**t
@@ -239,7 +242,25 @@ class TestAdam:
                 vi += (1.0 - b2) * (g * g)
                 p -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
         for got, want in zip(params, expected):
-            assert np.array_equal(got, want)
+            assert got.dtype == dtype and np.array_equal(got, want)
+
+    def test_large_parameters_match_whole_array_update(self):
+        self._match_whole_array_update(np.float64)
+
+    def test_float32_parameters_match_whole_array_update_in_float32(self):
+        self._match_whole_array_update(np.float32)
+
+    def test_mixed_dtypes_rejected(self):
+        p32, p64 = np.zeros(3, np.float32), np.zeros(3)
+        with pytest.raises(ShapeMismatch, match="mixed dtypes"):
+            nn.Adam().step([p32, p64], [np.ones(3, np.float32), np.ones(3)])
+        with pytest.raises(ShapeMismatch, match="mixed dtypes"):
+            nn.Adam().step([p32], [np.ones(3)])
+        adam = nn.Adam()
+        adam.step([p32], [np.ones(3, np.float32)])
+        with pytest.raises(ShapeMismatch):
+            adam.step([p64], [np.ones(3)])   # the state is float32
+        assert np.array_equal(p64, np.zeros(3))
 
     def test_non_contiguous_or_misshapen_rejected(self):
         # the update writes through flat views, which need C order
@@ -298,6 +319,27 @@ def _whole_network_check(kind, seed):
 
 
 class TestNetworks:
+    @pytest.mark.parametrize("kind", ["gcc_only", "avc", "avaw"])
+    def test_float32_model_is_the_float64_init_cast(self, kind):
+        wide = nn.build_model(kind, hidden=(16, 16, 16), weight_net_hidden=8, seed=2)
+        narrow = nn.build_model(kind, hidden=(16, 16, 16), weight_net_hidden=8, seed=2,
+                                dtype=np.float32)
+        assert narrow.dtype == np.float32 and wide.dtype == np.float64
+        for a, b in zip([*wide.parameters(), *wide.bn_stats(), *wide.gradients()],
+                        [*narrow.parameters(), *narrow.bn_stats(), *narrow.gradients()]):
+            assert b.dtype == np.float32 and np.array_equal(a.astype(np.float32), b)
+        rng = np.random.default_rng(2)
+        gcc, vis = rng.standard_normal((5, 306)), rng.standard_normal((5, 102))
+        assert narrow.forward(gcc, vis).dtype == np.float32   # inputs cast to float32
+        # a float64 model casts float32 inputs up, as numpy's promotion did
+        gcc32, vis32 = gcc.astype(np.float32), vis.astype(np.float32)
+        assert np.array_equal(wide.forward(gcc32, vis32),
+                              wide.forward(gcc32.astype(np.float64), vis32.astype(np.float64)))
+
+    def test_other_dtypes_rejected(self):
+        with pytest.raises(ValueError, match="float32 or float64"):
+            nn.build_model("avc", hidden=(4,), dtype=np.float16)
+
     def test_avc_input_dims(self):
         model = nn.build_model("avc", hidden=(16, 16, 16), seed=0)
         rng = np.random.default_rng(0)
@@ -398,9 +440,9 @@ class TestTraining:
 
 
 class TestCheckpoints:
-    def _trained_model(self, kind, seed=0):
+    def _trained_model(self, kind, seed=0, dtype=np.float64):
         model = nn.build_model(kind, hidden=(16, 16, 16), weight_net_hidden=8,
-                               seed=seed)
+                               seed=seed, dtype=dtype)
         rng = np.random.default_rng(seed)
         gcc = rng.standard_normal((32, 306))
         vis = None if kind == "gcc_only" else rng.standard_normal((32, 102))
@@ -423,9 +465,53 @@ class TestCheckpoints:
         nn.save_checkpoint(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    @pytest.mark.parametrize("kind", ["gcc_only", "avc", "avaw"])
+    def test_float32_round_trip_bit_exact_with_half_the_block_bytes(self, tmp_path, kind):
+        model, gcc, vis = self._trained_model(kind, dtype=np.float32)
+        arrays = [*model.parameters(), *model.bn_stats()]
+        assert all(a.dtype == np.float32 for a in arrays)
+        before = model.forward(gcc, vis, train=False)
+        path = tmp_path / "model.doam"
+        nn.save_checkpoint(model, path)
+        assert path.read_bytes()[4:7] == struct.pack("<HB", 2, 4)
+        loaded = nn.load_checkpoint(path)
+        assert loaded.dtype == np.float32
+        assert np.array_equal(before, loaded.forward(gcc, vis, train=False))
+        again = tmp_path / "again.doam"
+        nn.save_checkpoint(loaded, again)
+        assert path.read_bytes() == again.read_bytes()
+        # the same architecture in float64: same header, blocks twice the bytes
+        wide = tmp_path / "wide.doam"
+        nn.save_checkpoint(self._trained_model(kind)[0], wide)
+        values = sum(a.size for a in arrays)
+        header = path.stat().st_size - 4 * values
+        assert wide.stat().st_size == header + 8 * values
+
+    def test_version_1_file_loads_as_float64(self, tmp_path):
+        model, gcc, vis = self._trained_model("avaw")
+        path = tmp_path / "model.doam"
+        nn.save_checkpoint(model, path)
+        path.write_bytes(_version_1(path.read_bytes()))
+        loaded = nn.load_checkpoint(path)
+        assert loaded.dtype == np.float64
+        assert np.array_equal(loaded.forward(gcc, vis), model.forward(gcc, vis))
+        again = tmp_path / "again.doam"
+        nn.save_checkpoint(loaded, again)   # saved as version 2
+        assert _version_1(again.read_bytes()) == path.read_bytes()
+
     # SHA-256 of the .doam bytes of build_model(kind, (16, 16, 16), 8, seed=3),
     # fresh and after two seeded epochs.  The trained digests also depend on
     # the BLAS build's summation order; a change that moves them must say why.
+    # GOLDEN_V1 holds the same files as version 1 wrote them, without the
+    # dtype code: float64 parameters keep their bytes.
+    GOLDEN_V1 = {
+        "gcc_only": ("79d26a567cb7c42c29bf5d9e261e353983f2992a15e9c697a91c5045a3302c2c",
+                     "9825e1349f9e5970f6a20a5b53d401bbf4899ec19b92720d478fd5d0a8a5ff44"),
+        "avc": ("59c44413fbcb3ee0de9bfacc8fe02f9686e05a74549dd462d5cf26dae2704a06",
+                "a0cebd6c8cf2d62ce978c33f314bcd883b28375a6945fcaddcb26d065be3bb3e"),
+        "avaw": ("f3fbca0f2631468db31b5e8ef984a9118a640aca45fbcf888e2da68eb05347e3",
+                 "5ba09c642a2575ab0231f0e6ef244b4135234341454aaea93222dde549eb3131"),
+    }
     GOLDEN = {
         "gcc_only": ("79d26a567cb7c42c29bf5d9e261e353983f2992a15e9c697a91c5045a3302c2c",
                      "9825e1349f9e5970f6a20a5b53d401bbf4899ec19b92720d478fd5d0a8a5ff44"),
@@ -440,7 +526,7 @@ class TestCheckpoints:
         model = nn.build_model(kind, hidden=(16, 16, 16), weight_net_hidden=8, seed=3)
         path = tmp_path / "model.doam"
         nn.save_checkpoint(model, path)
-        fresh = hashlib.sha256(path.read_bytes()).hexdigest()
+        fresh = path.read_bytes()
         rng = np.random.default_rng(3)
         gcc = rng.standard_normal((32, 306))
         vis = None if kind == "gcc_only" else rng.standard_normal((32, 102))
@@ -449,14 +535,18 @@ class TestCheckpoints:
                                 weight_net_hidden=8, seed=3)
         nn.train_model(model, gcc, vis, targets, config)
         nn.save_checkpoint(model, path)
-        trained = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert (fresh, trained) == self.GOLDEN[kind]
+        trained = path.read_bytes()
+
+        def sha256(data):
+            return hashlib.sha256(data).hexdigest()
+        assert (sha256(fresh), sha256(trained)) == self.GOLDEN[kind]
+        assert (sha256(_version_1(fresh)), sha256(_version_1(trained))) == self.GOLDEN_V1[kind]
 
     def test_audio_only_header_with_visual_input_rejected(self, tmp_path):
         path = tmp_path / "model.doam"
         nn.save_checkpoint(nn.build_model("avc", hidden=(3,), gcc_dim=4, vis_dim=2), path)
         data = bytearray(path.read_bytes())
-        data[6] = 2   # the architecture tag of gcc_only, which has no visual input
+        data[7] = 2   # the architecture tag of gcc_only, which has no visual input
         path.write_bytes(bytes(data))
         with pytest.raises(ShapeMismatch):
             nn.load_checkpoint(path)
@@ -478,6 +568,27 @@ class TestCheckpoints:
             with pytest.raises(AvdoaError):
                 nn.load_checkpoint(path)
 
+    def test_every_truncation_of_a_float32_file_is_typed(self, tmp_path):
+        model = nn.DoaModel("avaw", hidden=(3, 2), weight_net_hidden=2, gcc_dim=4,
+                            vis_dim=2, out_dim=5, rng=0, dtype=np.float32)
+        path = tmp_path / "model.doam"
+        nn.save_checkpoint(model, path)
+        data = path.read_bytes()
+        for size in range(len(data)):
+            path.write_bytes(data[:size])
+            with pytest.raises(AvdoaError):
+                nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("code", [0, 2, 16])
+    def test_unknown_dtype_code_rejected(self, tmp_path, code):
+        path = tmp_path / "model.doam"
+        nn.save_checkpoint(nn.build_model("avc", hidden=(3,), gcc_dim=4, vis_dim=2), path)
+        data = bytearray(path.read_bytes())
+        data[6] = code
+        path.write_bytes(bytes(data))
+        with pytest.raises(VersionMismatch, match="dtype code"):
+            nn.load_checkpoint(path)
+
     def test_version_mismatch(self, tmp_path):
         model, _, _ = self._trained_model("gcc_only")
         path = tmp_path / "model.doam"
@@ -487,3 +598,27 @@ class TestCheckpoints:
         path.write_bytes(bytes(data))
         with pytest.raises(VersionMismatch):
             nn.load_checkpoint(path)
+
+
+def _version_1(data):
+    """A float64 version-2 checkpoint as version 1 wrote it, without the dtype code."""
+    assert data[4:7] == struct.pack("<HB", 2, 8)
+    return data[:4] + struct.pack("<H", 1) + data[7:]
+
+
+def test_train_command_writes_a_float32_checkpoint_that_eval_scores(tmp_path):
+    assert cli_main(["simulate", "--out", str(tmp_path / "ds"), "--frames", "20",
+                     "--seed", "1", "--source-kind", "white"]) == 0
+    assert cli_main(["features", "--dataset", str(tmp_path / "ds"),
+                     "--out", str(tmp_path / "feats")]) == 0
+    ckpt = tmp_path / "avaw.doam"
+    assert cli_main(["train", "--features", str(tmp_path / "feats"), "--model", "avaw",
+                     "--widths", "8,8,8", "--epochs", "2", "--batch", "8",
+                     "--out", str(ckpt)]) == 0
+    assert ckpt.read_bytes()[4:7] == struct.pack("<HB", 2, 4)   # version 2, f4 blocks
+    assert nn.load_checkpoint(ckpt).dtype == np.float32
+    assert cli_main(["eval", "--checkpoint", str(ckpt), "--features", str(tmp_path / "feats"),
+                     "--out", str(tmp_path / "eval")]) == 0
+    header, values = (tmp_path / "eval" / "summary.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), values.split(",")))
+    assert 0.0 <= float(cells["mae_overall"]) <= 180.0
