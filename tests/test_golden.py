@@ -33,7 +33,7 @@ GOLDEN = {
     "noisy/visual.doaf":
         "cbc796119e0edc8e05edad6e55bf57fa84859539a5c97c5ded32a244392405fb",
     "avaw.doam":
-        "4abd3907d237322a53813fc28500d633f405d23bd03da26dfd77360e46128c22",
+        "a5cc294e2cd8166d522037e54a2a60cc781bccc60601df14bf4c655b8df6f7ca",
     "eval/results.jsonl":
         "1ea04318419c2f5512f3fbfe4fdf56054a597526d653781ae84af2fe5a86e70c",
     "eval/summary.csv":

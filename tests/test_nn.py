@@ -513,12 +513,12 @@ class TestCheckpoints:
                  "5ba09c642a2575ab0231f0e6ef244b4135234341454aaea93222dde549eb3131"),
     }
     GOLDEN = {
-        "gcc_only": ("79d26a567cb7c42c29bf5d9e261e353983f2992a15e9c697a91c5045a3302c2c",
-                     "9825e1349f9e5970f6a20a5b53d401bbf4899ec19b92720d478fd5d0a8a5ff44"),
-        "avc": ("59c44413fbcb3ee0de9bfacc8fe02f9686e05a74549dd462d5cf26dae2704a06",
-                "a0cebd6c8cf2d62ce978c33f314bcd883b28375a6945fcaddcb26d065be3bb3e"),
-        "avaw": ("f3fbca0f2631468db31b5e8ef984a9118a640aca45fbcf888e2da68eb05347e3",
-                 "5ba09c642a2575ab0231f0e6ef244b4135234341454aaea93222dde549eb3131"),
+        "gcc_only": ("a76b988b65d36a6634031d0184c9df912aed82d6c551aa32d9afebe380ab9335",
+                     "8a2c16a0c5a585dd2644ffc35f4c3fdd474bd172e94594faacc796d8c440d2f4"),
+        "avc": ("a34b5f3ddb10f9482095ea4357754266880b88df5f2df43dda8d4c556aaa2115",
+                "3b19b35cf93baae21d5d4855b082cff19af64d073a73755b3489ed646d1d7184"),
+        "avaw": ("00990241dd9e80a53070bfa566af641097477fa0dec035ac924ab90403dad070",
+                 "255f0ac2f21eabaa28a1830032964e4e90c6d23bf18f2e9add20b9654e1040e0"),
     }
 
     @pytest.mark.parametrize("kind", ["gcc_only", "avc", "avaw"])
