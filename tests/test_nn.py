@@ -218,37 +218,32 @@ class TestAdam:
         assert adam.step_count == 5
         assert p[0] < -0.004   # roughly lr per step under constant gradient
 
-    @staticmethod
-    def _match_whole_array_update(dtype):
-        # parameters far larger than one update chunk, and not a multiple
-        # of it, match the whole-array Adam formulas bit for bit
-        rng = np.random.default_rng(0)
-        shapes = [(300, 701), (701,), (3,)]
-        params = [rng.standard_normal(s).astype(dtype) for s in shapes]
-        expected = [p.copy() for p in params]
-        m = [np.zeros(s, dtype) for s in shapes]
-        v = [np.zeros(s, dtype) for s in shapes]
-        adam = nn.Adam()
-        b1, b2, lr, eps = adam.beta1, adam.beta2, adam.learning_rate, adam.eps
-        for t in range(1, 4):
-            grads = [rng.standard_normal(s).astype(dtype) for s in shapes]
-            adam.step(params, grads)
-            bc1 = 1.0 - b1**t
-            bc2 = 1.0 - b2**t
-            for p, g, mi, vi in zip(expected, grads, m, v):
-                mi *= b1
-                mi += (1.0 - b1) * g
-                vi *= b2
-                vi += (1.0 - b2) * (g * g)
-                p -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
-        for got, want in zip(params, expected):
-            assert got.dtype == dtype and np.array_equal(got, want)
-
     def test_large_parameters_match_whole_array_update(self):
-        self._match_whole_array_update(np.float64)
-
-    def test_float32_parameters_match_whole_array_update_in_float32(self):
-        self._match_whole_array_update(np.float32)
+        # parameters far larger than one update chunk, and not a multiple
+        # of it, match the whole-array Adam formulas bit for bit, in the
+        # parameters' dtype
+        shapes = [(300, 701), (701,), (3,)]
+        for dtype in (np.float64, np.float32):
+            rng = np.random.default_rng(0)
+            params = [rng.standard_normal(s).astype(dtype) for s in shapes]
+            expected = [p.copy() for p in params]
+            m = [np.zeros(s, dtype) for s in shapes]
+            v = [np.zeros(s, dtype) for s in shapes]
+            adam = nn.Adam()
+            b1, b2, lr, eps = adam.beta1, adam.beta2, adam.learning_rate, adam.eps
+            for t in range(1, 4):
+                grads = [rng.standard_normal(s).astype(dtype) for s in shapes]
+                adam.step(params, grads)
+                bc1 = 1.0 - b1**t
+                bc2 = 1.0 - b2**t
+                for p, g, mi, vi in zip(expected, grads, m, v):
+                    mi *= b1
+                    mi += (1.0 - b1) * g
+                    vi *= b2
+                    vi += (1.0 - b2) * (g * g)
+                    p -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+            for got, want in zip(params, expected):
+                assert got.dtype == dtype and np.array_equal(got, want)
 
     def test_mixed_dtypes_rejected(self):
         p32, p64 = np.zeros(3, np.float32), np.zeros(3)
@@ -558,26 +553,16 @@ class TestCheckpoints:
             nn.load_checkpoint(path)
 
     def test_every_truncation_is_typed(self, tmp_path):
-        model = nn.DoaModel("avaw", hidden=(3, 2), weight_net_hidden=2, gcc_dim=4,
-                            vis_dim=2, out_dim=5, rng=0)
-        path = tmp_path / "model.doam"
-        nn.save_checkpoint(model, path)
-        data = path.read_bytes()
-        for size in range(len(data)):
-            path.write_bytes(data[:size])
-            with pytest.raises(AvdoaError):
-                nn.load_checkpoint(path)
-
-    def test_every_truncation_of_a_float32_file_is_typed(self, tmp_path):
-        model = nn.DoaModel("avaw", hidden=(3, 2), weight_net_hidden=2, gcc_dim=4,
-                            vis_dim=2, out_dim=5, rng=0, dtype=np.float32)
-        path = tmp_path / "model.doam"
-        nn.save_checkpoint(model, path)
-        data = path.read_bytes()
-        for size in range(len(data)):
-            path.write_bytes(data[:size])
-            with pytest.raises(AvdoaError):
-                nn.load_checkpoint(path)
+        for dtype in (np.float64, np.float32):
+            model = nn.DoaModel("avaw", hidden=(3, 2), weight_net_hidden=2, gcc_dim=4,
+                                vis_dim=2, out_dim=5, rng=0, dtype=dtype)
+            path = tmp_path / "model.doam"
+            nn.save_checkpoint(model, path)
+            data = path.read_bytes()
+            for size in range(len(data)):
+                path.write_bytes(data[:size])
+                with pytest.raises(AvdoaError):
+                    nn.load_checkpoint(path)
 
     @pytest.mark.parametrize("code", [0, 2, 16])
     def test_unknown_dtype_code_rejected(self, tmp_path, code):
