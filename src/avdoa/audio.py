@@ -191,12 +191,12 @@ def _whitened_cross_spectrum(spectra, fft_len):
     Bins under 1e-12 of their pair's largest bin are zeroed, so scaling
     either input changes nothing.  Returns the (P, bins) weights and, per
     pair, the number of contributing bins of the two-sided spectrum.
-    Each channel is first scaled by the power of two that brings its
-    largest bin into [0.5, 1) (or up by 2**1021 at most, which stays
+    Each channel is first scaled, in place, by the power of two that brings
+    its largest bin into [0.5, 1) (or up by 2**1021 at most, which stays
     finite): exact, and no product below can overflow.
     """
     _, exponent = np.frexp(np.abs(spectra).max(axis=1, keepdims=True))
-    spectra = spectra * np.ldexp(1.0, -np.maximum(exponent, -1021))
+    spectra *= np.ldexp(1.0, -np.maximum(exponent, -1021))
     l, p = np.triu_indices(spectra.shape[0], k=1)
     cross = np.multiply(spectra[l], np.conj(spectra[p]))
     mag = np.abs(cross)
