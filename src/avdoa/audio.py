@@ -219,8 +219,9 @@ def _gcc_rows(samples, lags, fft_len):
         fft_len = 1 << int(np.ceil(np.log2(max(samples.shape[1], 2))))
     if fft_len < samples.shape[1]:
         raise ValueError("fft_len must be at least the frame length")
-    # float64 here: numpy transforms float32 input in single precision
-    spectra = np.fft.rfft(np.asarray(samples, dtype=np.float64), fft_len, axis=1)
+    # float64 here: numpy transforms float32 input in single precision.  C
+    # order, so each channel's bins are contiguous even for a WAV's frames.
+    spectra = np.fft.rfft(np.asarray(samples, dtype=np.float64, order="C"), fft_len, axis=1)
     weights, n_bins = _whitened_cross_spectrum(spectra, fft_len)
     cc = np.fft.irfft(weights, fft_len, axis=-1)
     idx = np.arange(lag_min, lag_max + 1) % fft_len
