@@ -485,10 +485,10 @@ def save_checkpoint(model, path):
     """
     params = model.parameters()
     stats = model.bn_stats()
-    block = model.dtype.newbyteorder("<")
+    code = model.dtype.itemsize
     header = [
         _MAGIC,
-        struct.pack("<HB", _VERSION, model.dtype.itemsize),
+        struct.pack("<HB", _VERSION, code),
         struct.pack("<B", _ARCH_TAGS[model.kind]),
         struct.pack("<III", model.gcc_dim, model.vis_dim, model.out_dim),
         struct.pack("<H", len(model.hidden)),
@@ -499,7 +499,7 @@ def save_checkpoint(model, path):
         _pack_block_table(stats),
     ]
     blob = b"".join(header) + b"".join(
-        np.ascontiguousarray(a).astype(block).tobytes() for a in [*params, *stats]
+        np.ascontiguousarray(a).astype(f"<f{code}").tobytes() for a in [*params, *stats]
     )
     with open(path, "wb") as fh:
         fh.write(blob)
@@ -537,7 +537,6 @@ def load_checkpoint(path):
     code = reader.take("<B") if version > 1 else 8
     if code not in _BLOCK_DTYPES:
         raise VersionMismatch(f"{path}: unknown parameter dtype code {code}")
-    dtype = np.dtype(_BLOCK_DTYPES[code])
     arch = reader.take("<B")
     if arch not in _TAG_ARCHS:
         raise VersionMismatch(f"{path}: unknown architecture tag {arch}")
@@ -551,12 +550,12 @@ def load_checkpoint(path):
     shapes = [_read_block_table(reader), _read_block_table(reader)]
     if _model_shapes(kind, gcc_dim, vis_dim, out_dim, hidden, weight_net_hidden) != shapes:
         raise ShapeMismatch(f"{path}: parameter shapes do not match the model")
-    blocks = [reader.array(dtype.newbyteorder("<"), shape)   # views
-              for shape in shapes[0] + shapes[1]]
+    blocks = [reader.array(f"<f{code}", shape) for shape in shapes[0] + shapes[1]]   # views
     if not reader.at_end():
         raise ShapeMismatch(f"{path}: trailing bytes after parameter blocks")
     model = DoaModel(kind, hidden=hidden, weight_net_hidden=weight_net_hidden,
-                     gcc_dim=gcc_dim, vis_dim=vis_dim, out_dim=out_dim, rng=0, dtype=dtype)
+                     gcc_dim=gcc_dim, vis_dim=vis_dim, out_dim=out_dim, rng=0,
+                     dtype=_BLOCK_DTYPES[code])
     for arr, block in zip([*model.parameters(), *model.bn_stats()], blocks):
         arr[...] = block
     return model
