@@ -56,6 +56,7 @@ def train_rounds(tmp_path_factory):
     workload = workloads.Train(3, "full", workloads.checked_cli(avdoa))
     workload.build(str(root))
     for k in range(2):
+        (root / f"round{k}").mkdir()   # as a benchmark run makes each round's directory
         workload.run_round(str(root / f"round{k}"))
     return workload, root
 
