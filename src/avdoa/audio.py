@@ -84,7 +84,7 @@ class GccFeature:
             raise ValueError("lag axis inconsistent with lag range")
 
 
-def synth_source(kind, duration_s, sample_rate, seed=None, wav_path=None):
+def synth_source(kind, duration_s, sample_rate, seed=None, wav_path=None, wav=None):
     """Generate (or load) a one-channel test source, deterministic per seed.
 
     kind:
@@ -93,7 +93,8 @@ def synth_source(kind, duration_s, sample_rate, seed=None, wav_path=None):
                          filter, amplitude-modulated at a syllabic rate so
                          the signal has spectral tilt and near-pauses
       * "wav_file"       a segment of ``wav_path``'s first channel, as long
-                         as the duration, starting at a seeded random sample
+                         as the duration, starting at a seeded random sample;
+                         ``wav``, when given, is that file already loaded
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
@@ -114,7 +115,7 @@ def synth_source(kind, duration_s, sample_rate, seed=None, wav_path=None):
             x = x / rms
         return MultichannelAudio(x[None, :], sample_rate)
     if kind == "wav_file":      # ScenarioConfig makes sure wav_path is set
-        audio = load_wav(wav_path)
+        audio = wav if wav is not None else load_wav(wav_path)
         if audio.sample_rate != sample_rate:
             raise SampleRateMismatch(
                 f"{wav_path}: {audio.sample_rate} Hz, requested {sample_rate} Hz"

@@ -141,6 +141,8 @@ def simulate(config, out_dir, array=None, calibration=None):
     array = array if array is not None else geom.MicArray.square()
     cal = calibration if calibration is not None else default_calibration()
     frame_samples = int(round(config.frame_len_s * config.sample_rate))
+    # a wav_file scene reads its file once; each source takes a segment of it
+    wav = audio_mod.load_wav(config.wav_path) if config.source_kind == "wav_file" else None
 
     # time-major, so the WAV writer gets C-contiguous (frames, channels) data
     buffer = np.zeros((config.frames * frame_samples, array.n_mics), dtype=np.float32)
@@ -163,7 +165,7 @@ def simulate(config, out_dir, array=None, calibration=None):
             sources.append(SourceRecord(s, position, azimuth))
             signal = audio_mod.synth_source(
                 config.source_kind, config.frame_len_s, config.sample_rate,
-                seed=[config.seed, 3, f, s], wav_path=config.wav_path,
+                seed=[config.seed, 3, f, s], wav_path=config.wav_path, wav=wav,
             )
             rendered.append((signal, azimuth))
             if visible:

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from avdoa import dataset, geom, visual
-from avdoa.errors import ConfigError
+from avdoa import audio, dataset, geom, visual
+from avdoa.errors import ConfigError, SampleRateMismatch, TooShort
 
 
 def small_config(**overrides):
@@ -79,6 +79,24 @@ class TestSimulate:
             for src in frame.sources:
                 derived = geom.doa_from_position(src.position, ds.array)
                 assert abs(geom.wrap_degrees(derived - src.azimuth_deg)) <= 1e-6
+
+    def test_wav_file_scene_loads_its_wav_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "speech.wav"
+        audio.save_wav(path, audio.synth_source("white", 1.0, 16000, seed=0))
+        calls = []
+        load_wav = audio.load_wav
+        monkeypatch.setattr(audio, "load_wav", lambda p: calls.append(p) or load_wav(p))
+        scene = dict(source_kind="wav_file", wav_path=str(path), sample_rate=16000,
+                     source_counts={2: 1.0})
+        dataset.simulate(small_config(**scene), tmp_path / "ds")
+        assert calls == [str(path)]      # 20 frames of two sources each
+        with pytest.raises(SampleRateMismatch):
+            dataset.simulate(small_config(**dict(scene, sample_rate=8000)), tmp_path / "a")
+        with pytest.raises(TooShort):
+            dataset.simulate(small_config(**scene, frame_len_s=2.0), tmp_path / "b")
+        with pytest.raises(FileNotFoundError):
+            dataset.simulate(small_config(**dict(scene, wav_path=str(tmp_path / "no.wav"))),
+                             tmp_path / "c")
 
     def test_deterministic(self, tmp_path):
         a = tmp_path / "a"
