@@ -191,7 +191,7 @@ class Adam:
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
-    _CHUNK = 1 << 14   # elements per update chunk; the scratch buffers stay in cache
+    _CHUNK_BYTES = 1 << 17   # per update chunk; the scratch buffers stay in cache
 
     def __init__(self, learning_rate=TrainConfig.learning_rate):
         self.learning_rate = learning_rate
@@ -206,7 +206,8 @@ class Adam:
         if self._m is None:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
-            self._scratch = tuple(np.empty(self._CHUNK, *dtypes) for _ in range(2))
+            self._scratch = tuple(np.empty(self._CHUNK_BYTES, np.uint8).view(*dtypes)
+                                  for _ in range(2))
         if len(params) != len(self._m) or dtypes - {self._scratch[0].dtype}:
             raise ShapeMismatch("parameter list or dtype changed between steps")
         for p, g in zip(params, grads):
@@ -216,10 +217,11 @@ class Adam:
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
         # the whole-array formulas op by op, chunk by chunk: bit-identical results
+        chunk = self._scratch[0].size
         for p, g, m, v in zip(params, grads, self._m, self._v):
             flat = [x.reshape(-1) for x in (p, g, m, v)]   # views: all C-contiguous
-            for s in range(0, p.size, self._CHUNK):
-                pc, gc, mc, vc = (x[s:s + self._CHUNK] for x in flat)
+            for s in range(0, p.size, chunk):
+                pc, gc, mc, vc = (x[s:s + chunk] for x in flat)
                 a, b = (x[:pc.size] for x in self._scratch)
                 mc *= self.beta1
                 np.multiply(gc, 1.0 - self.beta1, out=a)
