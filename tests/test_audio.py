@@ -44,6 +44,25 @@ class TestSynthSource:
         high = spec[-len(spec) // 8:].mean()
         assert low > 10 * high                   # low-frequency emphasis
 
+    def test_speech_filter_matches_a_direct_recursion(self):
+        # the fixed all-pole filter (1 - 0.9/z)(1 - 1.2/z + 0.45/z^2), run
+        # sample by sample on the same seeded noise, then the same 3 Hz
+        # envelope and unit RMS
+        fs, seed = 48000, 7
+        got = audio.synth_source("speech_like_ar", 0.05, fs, seed=seed).samples[0]
+        n = got.size
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal(n)
+        a1, a2, a3 = -2.1, 1.53, -0.405
+        y = [0.0, 0.0, 0.0]
+        for t in range(n):
+            y.append(noise[t] - a1 * y[-1] - a2 * y[-2] - a3 * y[-3])
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        envelope = (0.5 + 0.5 * np.sin(2.0 * np.pi * 3.0 * np.arange(n) / fs + phase)) ** 2
+        want = np.array(y[3:]) * envelope
+        want /= np.sqrt(np.mean(want**2))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_wav_file_kind(self, tmp_path):
         ref = audio.synth_source("white", 0.5, 16000, seed=2)
         path = tmp_path / "src.wav"
@@ -85,6 +104,23 @@ class TestRenderArray:
         lags = np.arange(-30, 31)
         xcorr = [np.dot(np.roll(c0, -tau), c1) for tau in lags]
         assert lags[np.argmax(xcorr)] == 14
+
+    @pytest.mark.parametrize("k", [3, -5])
+    def test_integer_delay_is_an_exact_shift(self, k):
+        # a mic k * c / fs along x hears a source at azimuth 0 exactly k
+        # samples early (late for negative k); the mic at the origin hears it as is
+        fs = 48000
+        array = geom.MicArray(positions=[[0, 0, 0], [k * 343.0 / fs, 0, 0]])
+        sig = audio.synth_source("white", 0.05, fs, seed=4)
+        x = sig.samples[0]
+        out = audio.render_array([(sig, 0.0)], array).samples
+        shifted = np.zeros_like(x)
+        if k > 0:
+            shifted[:-k] = x[k:]
+        else:
+            shifted[-k:] = x[:k]
+        assert np.abs(out[0] - x).max() < 1e-12
+        assert np.abs(out[1] - shifted).max() < 1e-12
 
     def test_superposition_is_exact(self):
         array = geom.MicArray.square()
