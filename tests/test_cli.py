@@ -1,13 +1,17 @@
 import argparse
 import hashlib
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import avdoa
 from avdoa import audio, cli, evaluation, nn, visual
 from avdoa.cli import main
 from avdoa.errors import ConfigError, VersionMismatch
@@ -53,6 +57,21 @@ class TestSimulate:
         assert run("simulate", "--out", out, "--frames", 10,
                    "--visibility", "2.0") == 2
         assert not out.exists()
+
+    def test_speech_scene_does_not_import_scipy_signal(self, tmp_path):
+        # in a child process, so no other test's imports count
+        src = os.path.dirname(os.path.dirname(os.path.abspath(avdoa.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("import sys\n"
+                  "from avdoa import cli\n"
+                  f"code = cli.main(['simulate', '--out', {str(tmp_path / 'ds')!r}, "
+                  "'--frames', '4', '--source-kind', 'speech_like_ar'])\n"
+                  "print(code, 'scipy.signal' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"
