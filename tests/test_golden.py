@@ -21,19 +21,19 @@ import avdoa
 
 GOLDEN = {
     "ds/audio.wav":
-        "1f26a8e1efb46235f19d81c543f5f881da85ebaf1be456fcaffbcdb712964a91",
+        "fdbdafcc0b2357ec926de8449014bf82b6ad92dc30759ad915456c6499821177",
     "ds/manifest.jsonl":
         "a3b08c90afb2e83a3d7c481eabd19eba456263dbf625ef89450beb62dcddcd23",
     "feats/gcc.doaf":
-        "2621d6c184314206f0c91995a5222b4165ba8688464e2282584447d4b059e1c9",
+        "90652cf1f026e9232a603ff89d0736a402ca80f616f49cccf6fd56da998185b9",
     "feats/visual.doaf":
         "a21e1015ada9e6b96ef89fe264e6aca47ccff539dbe241781a48be1c6d17e0f1",
     "noisy/gcc.doaf":
-        "2d4ed26ab6e4afbdde18783d1e543f7e9c3c19c0bb5e1fc8e62be632198e209d",
+        "e7d4d579e22336bdd2b9a07b4a4462b17afa39557f9862dd711836ffa4c12ab6",
     "noisy/visual.doaf":
         "cbc796119e0edc8e05edad6e55bf57fa84859539a5c97c5ded32a244392405fb",
     "avaw.doam":
-        "a5cc294e2cd8166d522037e54a2a60cc781bccc60601df14bf4c655b8df6f7ca",
+        "48deaedf58befecc0e165001144c1c04a4817a8cb65235f5c58ec06af5cf1d07",
     "eval/results.jsonl":
         "1ea04318419c2f5512f3fbfe4fdf56054a597526d653781ae84af2fe5a86e70c",
     "eval/summary.csv":
@@ -41,11 +41,11 @@ GOLDEN = {
     "eval.stdout":
         "f417d0d13aadbc9233dd0a21e82c9e3c963442e67872e8a8a009d9cf1f1d6f3e",
     "grid/robustness_grid.csv":
-        "7b4bdf2da5727ed7573fd46f1771f88c3cd95872ae498fee43195dfb7c155d73",
+        "ef307d34826aaa39512aab76a2081f2f1e319b8e9974886b7df0672d996598de",
     "grid/mae_vs_snr.csv":
-        "6b6c21783cc95e21884909492903eb08a194a8c418b6e5876169c0cd3e79de33",
+        "b5dd0cad7a57c457f92031271b6de6ed20a56b2f37bd6742ac377b8bd70719df",
     "grid.stdout":
-        "b7fa240e9e65546d7bc10da9ffab4d9a86c49f6a111cc9653c8bc9a64d1e3fe8",
+        "b827c4fc05e52748179322c25457af0f7988694096c857d528f679a692f158d0",
     "srp/baseline_results.jsonl":
         "18fe5d783c7aeb66b151cc2a666686b5dc4c9a267701b8314c9618a120c96187",
     "srp/baseline_summary.csv":
