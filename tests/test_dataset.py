@@ -93,7 +93,7 @@ class TestSimulate:
         with pytest.raises(SampleRateMismatch):
             dataset.simulate(small_config(**dict(scene, sample_rate=8000)), tmp_path / "a")
         with pytest.raises(TooShort):
-            dataset.simulate(small_config(**scene, frame_len_s=2.0), tmp_path / "b")
+            dataset.simulate(small_config(**dict(scene, frame_len_s=2.0)), tmp_path / "b")
         with pytest.raises(FileNotFoundError):
             dataset.simulate(small_config(**dict(scene, wav_path=str(tmp_path / "no.wav"))),
                              tmp_path / "c")
