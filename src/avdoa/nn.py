@@ -103,28 +103,24 @@ def mse_loss(pred, target):
 # ---------------------------------------------------------------------------
 
 class Dense:
-    """Affine layer y = x W^T + b with Glorot-uniform init."""
+    """Affine layer y = x W^T + b on the weight and bias it is given."""
 
     PARAMS, STATS = ("weight", "bias"), ()   # each PARAMS name has a grad_<name>
 
-    def __init__(self, in_dim, out_dim, rng):
-        limit = np.sqrt(6.0 / (in_dim + out_dim))
-        self.weight = rng.uniform(-limit, limit, size=(out_dim, in_dim))
-        self.bias = np.zeros(out_dim)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
+    def __init__(self, weight, bias):
+        self.weight, self.bias = weight, bias
+        self.grad_weight = np.zeros_like(weight)
+        self.grad_bias = np.zeros_like(bias)
 
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.weight.shape[1]:
-            raise ShapeMismatch(
-                f"dense expects (batch, {self.weight.shape[1]}), got {x.shape}"
-            )
+            raise ShapeMismatch(f"dense expects (batch, {self.weight.shape[1]}), got {x.shape}")
         self._x = x
         return x @ self.weight.T + self.bias
 
     def backward(self, dout):
-        self.grad_weight = dout.T @ self._x
-        self.grad_bias = dout.sum(axis=0)
+        np.matmul(dout.T, self._x, out=self.grad_weight)
+        dout.sum(axis=0, out=self.grad_bias)
         return dout @ self.weight
 
 
@@ -143,13 +139,11 @@ class BatchNorm:
     eps = 1e-12
     PARAMS, STATS = ("gamma", "beta"), ("running_mean", "running_var")
 
-    def __init__(self, dim):
-        self.gamma = np.ones(dim)
-        self.beta = np.zeros(dim)
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
-        self.grad_gamma = np.zeros_like(self.gamma)
-        self.grad_beta = np.zeros_like(self.beta)
+    def __init__(self, gamma, beta, running_mean, running_var):
+        self.gamma, self.beta = gamma, beta
+        self.running_mean, self.running_var = running_mean, running_var
+        self.grad_gamma = np.zeros_like(gamma)
+        self.grad_beta = np.zeros_like(beta)
 
     def forward(self, x, train):
         if x.ndim != 2 or x.shape[1] != self.gamma.size:
@@ -171,8 +165,8 @@ class BatchNorm:
 
     def backward(self, dout):
         batch = dout.shape[0]
-        self.grad_gamma = (dout * self._xhat).sum(axis=0)
-        self.grad_beta = dout.sum(axis=0)
+        (dout * self._xhat).sum(axis=0, out=self.grad_gamma)
+        dout.sum(axis=0, out=self.grad_beta)
         dxhat = dout * self.gamma
         return (self._inv_std / batch) * (
             batch * dxhat
@@ -279,15 +273,11 @@ class _Layered:
 
 
 class Mlp3(_Layered):
-    """Dense -> BatchNorm -> ReLU blocks, then Dense -> sigmoid."""
+    """Dense -> BatchNorm -> ReLU blocks, then Dense -> sigmoid, from ``layers`` in that order."""
 
-    def __init__(self, in_dim, hidden_dims, out_dim, rng):
-        dims = [in_dim, *hidden_dims]
-        self.blocks = [
-            (Dense(dims[i], dims[i + 1], rng), BatchNorm(dims[i + 1]))
-            for i in range(len(hidden_dims))
-        ]
-        self.out = Dense(dims[-1], out_dim, rng)
+    def __init__(self, layers):
+        self.blocks = list(zip(layers[:-1:2], layers[1:-1:2]))
+        self.out = layers[-1]
 
     def forward(self, x, train):
         self._relu_in = []
@@ -308,47 +298,53 @@ class Mlp3(_Layered):
         return [layer for block in self.blocks for layer in block] + [self.out]
 
 
+def _layout(kind, gcc_dim, vis_dim, out_dim, hidden, wn_hidden):
+    """A DoaModel's layers in ``layers()`` order: (class, PARAMS shapes, STATS shapes).
+
+    Shapes only, so a checkpoint header is checked before anything is allocated.
+    """
+    if kind not in _ARCH_TAGS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    if not hidden or min(hidden) < 1:
+        raise ShapeMismatch("need at least one hidden layer, and hidden widths >= 1")
+    if kind == "gcc_only" and vis_dim:
+        raise ShapeMismatch(f"gcc_only has no visual input, got width {vis_dim}")
+    if kind != "avaw" and wn_hidden:
+        raise ShapeMismatch(f"{kind} has no weight net, got width {wn_hidden}")
+    if kind == "avaw" and (wn_hidden < 1 or vis_dim < 2 or vis_dim % 2):
+        raise ShapeMismatch("avaw needs a weight-net width >= 1 and a visual "
+                            "input of two equal, non-empty axis blocks")
+
+    def dense(d_in, d_out):
+        return Dense, [(d_out, d_in), (d_out,)], []
+
+    dims = [gcc_dim + vis_dim, *hidden]
+    table = [dense(dims[0], wn_hidden), dense(wn_hidden, 3)] if kind == "avaw" else []
+    for d_in, d_out in zip(dims, dims[1:]):
+        table += [dense(d_in, d_out), (BatchNorm, [(d_out,)] * 2, [(d_out,)] * 2)]
+    return table + [dense(dims[-1], out_dim)]
+
+
 class DoaModel(_Layered):
     """MLP3 trunk behind the input stage named by ``kind`` (gcc_only, avc or avaw).
 
-    The avaw weight net draws from ``rng`` before the trunk, so checkpoints
-    and seeded runs keep their bytes; its latest softmax weights are kept
-    on ``last_weights``.  The init is drawn in float64 and then cast to
-    ``dtype`` (float32 or float64), the dtype the model computes in; inputs
-    are cast to it too.
+    ``arrays`` are the parameters, then the running stats, in checkpoint
+    order and laid out by ``_layout``.  The model computes on them in place,
+    in their dtype (float32 or float64); inputs are cast to it.  The avaw
+    weight net's latest softmax weights are kept on ``last_weights``.
     """
 
-    def __init__(self, kind, hidden, weight_net_hidden, gcc_dim, vis_dim, out_dim, rng,
-                 dtype=np.float64):
-        if kind not in _ARCH_TAGS:
-            raise ValueError(f"unknown model kind {kind!r}")
-        if np.dtype(dtype) not in _BLOCK_DTYPES.values():
-            raise ValueError(f"model dtype must be float32 or float64, got {dtype}")
-        if not hidden or min(hidden) < 1:
-            raise ShapeMismatch("need at least one hidden layer, and hidden widths >= 1")
-        if kind == "gcc_only":
-            vis_dim = 0
-        if kind != "avaw":
-            weight_net_hidden = 0
-        elif weight_net_hidden < 1 or vis_dim < 2 or vis_dim % 2:
-            raise ShapeMismatch("avaw needs a weight-net width >= 1 and a visual "
-                                "input of two equal, non-empty axis blocks")
-        rng = np.random.default_rng(rng)
-        self.kind = kind
-        self.gcc_dim = gcc_dim
-        self.vis_dim = vis_dim
-        self.hidden = tuple(hidden)
-        self.out_dim = out_dim
-        self.weight_net_hidden = weight_net_hidden
-        self.wn1 = self.wn2 = self.last_weights = None
-        if kind == "avaw":
-            self.wn1 = Dense(gcc_dim + vis_dim, weight_net_hidden, rng)
-            self.wn2 = Dense(weight_net_hidden, 3, rng)
-        self.core = Mlp3(gcc_dim + vis_dim, hidden, out_dim, rng)
-        self.dtype = np.dtype(dtype)
-        for layer in self.layers():
-            for name in (*layer.PARAMS, *layer.STATS, *("grad_" + n for n in layer.PARAMS)):
-                setattr(layer, name, getattr(layer, name).astype(self.dtype, copy=False))
+    def __init__(self, kind, hidden, weight_net_hidden, gcc_dim, vis_dim, out_dim, arrays):
+        table = _layout(kind, gcc_dim, vis_dim, out_dim, hidden, weight_net_hidden)
+        params, stats = iter(arrays), iter(arrays[sum(len(p) for _, p, _ in table):])
+        layers = [cls(*(next(params) for _ in p), *(next(stats) for _ in s))
+                  for cls, p, s in table]
+        self.kind, self.hidden, self.weight_net_hidden = kind, tuple(hidden), weight_net_hidden
+        self.gcc_dim, self.vis_dim, self.out_dim = gcc_dim, vis_dim, out_dim
+        self.dtype = arrays[0].dtype
+        self.last_weights = None
+        self.wn1, self.wn2, *trunk = layers if kind == "avaw" else [None, None, *layers]
+        self.core = Mlp3(trunk)
 
     def _checked(self, gcc, vis):
         """The inputs in the model's dtype (no visual input for audio only)."""
@@ -405,10 +401,26 @@ class DoaModel(_Layered):
 def build_model(kind, hidden=TrainConfig.hidden,
                 weight_net_hidden=TrainConfig.weight_net_hidden, seed=0,
                 gcc_dim=GCC_DIM, vis_dim=VIS_DIM, dtype=np.float64):
-    """Construct a model with seeded initialization (init rng = [seed, 0])."""
-    return DoaModel(kind, hidden=hidden, weight_net_hidden=weight_net_hidden,
-                    gcc_dim=gcc_dim, vis_dim=vis_dim, out_dim=N_CLASSES,
-                    rng=np.random.default_rng([seed, 0]), dtype=dtype)
+    """Construct a model with seeded initialization (init rng = [seed, 0]).
+
+    Each Dense weight is Glorot-uniform, drawn in float64 in layer order, then cast to ``dtype``.
+    """
+    if np.dtype(dtype) not in _BLOCK_DTYPES.values():
+        raise ValueError(f"model dtype must be float32 or float64, got {dtype}")
+    vis_dim = 0 if kind == "gcc_only" else vis_dim
+    weight_net_hidden = weight_net_hidden if kind == "avaw" else 0
+    table = _layout(kind, gcc_dim, vis_dim, N_CLASSES, hidden, weight_net_hidden)
+    rng = np.random.default_rng([seed, 0])
+
+    def init(name, shape):
+        if name == "weight":
+            limit = np.sqrt(6.0 / sum(shape))
+            return rng.uniform(-limit, limit, size=shape).astype(dtype, copy=False)
+        return (np.ones if name in ("gamma", "running_var") else np.zeros)(shape, dtype)
+
+    arrays = [init(n, shape) for cls, shapes, _ in table for n, shape in zip(cls.PARAMS, shapes)]
+    arrays += [init(n, shape) for cls, _, shapes in table for n, shape in zip(cls.STATS, shapes)]
+    return DoaModel(kind, hidden, weight_net_hidden, gcc_dim, vis_dim, N_CLASSES, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +445,7 @@ def train_model(model, gcc, vis, targets, config):
     vis = None if vis is None else np.asarray(vis, dtype=model.dtype)
     adam = Adam(config.learning_rate)
     rng = np.random.default_rng([config.seed, 1])
-    params = model.parameters()
+    params, grads = model.parameters(), model.gradients()
     history = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -448,7 +460,7 @@ def train_model(model, gcc, vis, targets, config):
             if not np.isfinite(loss):
                 raise NaNLoss(f"non-finite loss at epoch {epoch}, step {len(losses)}")
             model.backward(dy)
-            adam.step(params, model.gradients())
+            adam.step(params, grads)
             for p in params:
                 if not np.all(np.isfinite(p)):
                     raise NaNLoss(f"non-finite parameter after epoch {epoch} update")
@@ -515,18 +527,6 @@ def _read_block_table(reader):
     return shapes
 
 
-def _model_shapes(kind, gcc_dim, vis_dim, out_dim, hidden, wn_hidden):
-    """Parameter and running-stat shapes of a DoaModel, in checkpoint order."""
-    dims = [gcc_dim + (0 if kind == "gcc_only" else vis_dim), *hidden]   # as DoaModel sets it
-    params = []
-    if kind == "avaw":
-        params += [(wn_hidden, dims[0]), (wn_hidden,), (3, wn_hidden), (3,)]
-    for d_in, d_out in zip(dims, dims[1:]):
-        params += [(d_out, d_in), (d_out,), (d_out,), (d_out,)]
-    params += [(out_dim, dims[-1]), (out_dim,)]
-    return [params, [(d,) for d in hidden for _ in ("mean", "var")]]
-
-
 def load_checkpoint(path):
     """Rebuild a model from a checkpoint file's self-describing header.
 
@@ -550,14 +550,11 @@ def load_checkpoint(path):
     if reader.take("<dd") != (BatchNorm.momentum, BatchNorm.eps):
         raise VersionMismatch(f"{path}: batch-norm momentum/eps differ from the constants")
     shapes = [_read_block_table(reader), _read_block_table(reader)]
-    if _model_shapes(kind, gcc_dim, vis_dim, out_dim, hidden, weight_net_hidden) != shapes:
+    table = _layout(kind, gcc_dim, vis_dim, out_dim, hidden, weight_net_hidden)
+    if shapes != [[shape for layer in table for shape in layer[k]] for k in (1, 2)]:
         raise ShapeMismatch(f"{path}: parameter shapes do not match the model")
     blocks = [reader.array(f"<f{code}", shape) for shape in shapes[0] + shapes[1]]   # views
     if not reader.at_end():
         raise ShapeMismatch(f"{path}: trailing bytes after parameter blocks")
-    model = DoaModel(kind, hidden=hidden, weight_net_hidden=weight_net_hidden,
-                     gcc_dim=gcc_dim, vis_dim=vis_dim, out_dim=out_dim, rng=0,
-                     dtype=_BLOCK_DTYPES[code])
-    for arr, block in zip([*model.parameters(), *model.bn_stats()], blocks):
-        arr[...] = block
-    return model
+    arrays = [np.array(block, dtype=_BLOCK_DTYPES[code]) for block in blocks]   # owned copies
+    return DoaModel(kind, hidden, weight_net_hidden, gcc_dim, vis_dim, out_dim, arrays)

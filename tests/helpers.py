@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from avdoa import nn
 from avdoa.errors import AllZeroSpectrum
 
 
@@ -33,6 +34,17 @@ def finite_difference(loss_fn, arrays, h=1e-5, sample=None, rng=None):
             grad[i] = (up - down) / (2 * h)
         grads.append(grad.reshape(arr.shape))
     return grads
+
+
+def tiny_model(dtype):
+    """A seeded avaw model of ``dtype`` with out_dim 5, whose checkpoint is a
+    few hundred bytes: small enough to load every truncation of."""
+    widths = dict(gcc_dim=4, vis_dim=2, out_dim=5, hidden=(3, 2))
+    table = nn._layout("avaw", wn_hidden=2, **widths)
+    rng = np.random.default_rng(0)
+    arrays = [rng.uniform(0.5, 1.5, shape).astype(dtype)
+              for k in (1, 2) for layer in table for shape in layer[k]]
+    return nn.DoaModel("avaw", weight_net_hidden=2, arrays=arrays, **widths)
 
 
 def max_relative_error(analytic, numeric):

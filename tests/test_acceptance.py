@@ -56,7 +56,7 @@ def test_criterion_02_gradient_suite():
     rng = np.random.default_rng(2002)
 
     # dense layer, 8x8 random case
-    layer = nn.Dense(8, 8, rng)
+    layer = nn.Dense(rng.uniform(-np.sqrt(6 / 16), np.sqrt(6 / 16), size=(8, 8)), np.zeros(8))
     x = rng.standard_normal((8, 8))
     target = rng.random((8, 8))
     _, dy = nn.mse_loss(layer.forward(x), target)
@@ -67,7 +67,7 @@ def test_criterion_02_gradient_suite():
     worst["dense"] = max_relative_error([layer.grad_weight, layer.grad_bias], numeric)
 
     # batch norm, 16x4 random input
-    bn = nn.BatchNorm(4)
+    bn = nn.BatchNorm(np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
     bn.gamma[...] = rng.uniform(0.5, 1.5, 4)
     bn.beta[...] = rng.uniform(-1, 1, 4)
     xb = rng.standard_normal((16, 4))

@@ -15,7 +15,7 @@ from avdoa.errors import (
     ShapeMismatch,
     VersionMismatch,
 )
-from helpers import finite_difference, max_relative_error
+from helpers import finite_difference, max_relative_error, tiny_model
 
 
 class TestActivations:
@@ -82,14 +82,14 @@ class TestActivations:
 
 class TestDense:
     def test_identity_weight(self):
-        layer = nn.Dense(3, 3, np.random.default_rng(0))
+        layer = nn.Dense(np.zeros((3, 3)), np.zeros(3))
         layer.weight[...] = np.eye(3)
         layer.bias[...] = 0.0
         x = np.arange(6.0).reshape(2, 3)
         assert np.array_equal(layer.forward(x), x)
 
     def test_zero_weight_bias_broadcast(self):
-        layer = nn.Dense(3, 2, np.random.default_rng(0))
+        layer = nn.Dense(np.zeros((2, 3)), np.zeros(2))
         layer.weight[...] = 0.0
         layer.bias[...] = [1.5, -2.0]
         out = layer.forward(np.ones((4, 3)))
@@ -97,7 +97,7 @@ class TestDense:
 
     def test_gradient_fd(self):
         rng = np.random.default_rng(4)
-        layer = nn.Dense(8, 8, rng)
+        layer = nn.Dense(rng.uniform(-np.sqrt(6 / 16), np.sqrt(6 / 16), size=(8, 8)), np.zeros(8))
         x = rng.standard_normal((8, 8))
         target = rng.random((8, 8))
 
@@ -116,7 +116,7 @@ class TestDense:
         assert max_relative_error([dx], [numeric_x]) < 1e-6
 
     def test_shape_mismatch(self):
-        layer = nn.Dense(4, 2, np.random.default_rng(0))
+        layer = nn.Dense(np.zeros((2, 4)), np.zeros(2))
         with pytest.raises(ShapeMismatch):
             layer.forward(np.zeros((3, 5)))
 
@@ -124,7 +124,7 @@ class TestDense:
 class TestBatchNorm:
     def test_train_normalizes(self):
         rng = np.random.default_rng(5)
-        bn = nn.BatchNorm(4)
+        bn = nn.BatchNorm(np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
         x = rng.standard_normal((64, 4)) * 3.0 + 2.0
         y = bn.forward(x, train=True)
         assert np.max(np.abs(y.mean(axis=0))) < 1e-9
@@ -132,7 +132,7 @@ class TestBatchNorm:
 
     def test_eval_matches_train_when_stats_equal(self):
         rng = np.random.default_rng(6)
-        bn = nn.BatchNorm(4)
+        bn = nn.BatchNorm(np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
         x = rng.standard_normal((32, 4)) * 2.0 - 1.0
         y_train = bn.forward(x, train=True)
         bn.running_mean[...] = x.mean(axis=0)
@@ -141,13 +141,13 @@ class TestBatchNorm:
         assert np.max(np.abs(y_train - y_eval)) < 1e-6
 
     def test_batch_too_small(self):
-        bn = nn.BatchNorm(4)
+        bn = nn.BatchNorm(np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
         with pytest.raises(BatchTooSmall):
             bn.forward(np.zeros((1, 4)), train=True)
 
     def test_gradient_fd(self):
         rng = np.random.default_rng(7)
-        bn = nn.BatchNorm(4)
+        bn = nn.BatchNorm(np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
         bn.gamma[...] = rng.uniform(0.5, 1.5, 4)
         bn.beta[...] = rng.uniform(-1, 1, 4)
         x = rng.standard_normal((16, 4))
@@ -546,6 +546,32 @@ class TestCheckpoints:
         with pytest.raises(ShapeMismatch):
             nn.load_checkpoint(path)
 
+    @pytest.mark.parametrize("kind, offset, width", [("gcc_only", 12, 5), ("avc", 26, 7)])
+    def test_header_width_the_model_ignores_rejected(self, tmp_path, kind, offset, width):
+        """A gcc_only visual width or an avc weight-net width would be saved back as 0."""
+        path = tmp_path / "model.doam"
+        nn.save_checkpoint(nn.build_model(kind, hidden=(3,), gcc_dim=4, vis_dim=2), path)
+        data = bytearray(path.read_bytes())
+        assert data[offset:offset + 4] == bytes(4)
+        data[offset:offset + 4] = struct.pack("<I", width)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ShapeMismatch, match=f"got width {width}"):
+            nn.load_checkpoint(path)
+        assert cli_main(["eval", "--checkpoint", str(path), "--features", str(tmp_path),
+                         "--out", str(tmp_path / "eval")]) == 2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loading_draws_nothing(self, tmp_path, monkeypatch, dtype):
+        path = tmp_path / "model.doam"
+        nn.save_checkpoint(tiny_model(dtype), path)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random init")
+        monkeypatch.setattr(nn.np.random, "default_rng", no_init)
+        model = nn.load_checkpoint(path)
+        for arr in [*model.parameters(), *model.bn_stats()]:
+            assert arr.dtype == dtype and arr.flags.writeable and arr.flags.owndata
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.doam"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -554,8 +580,7 @@ class TestCheckpoints:
 
     def test_every_truncation_is_typed(self, tmp_path):
         for dtype in (np.float64, np.float32):
-            model = nn.DoaModel("avaw", hidden=(3, 2), weight_net_hidden=2, gcc_dim=4,
-                                vis_dim=2, out_dim=5, rng=0, dtype=dtype)
+            model = tiny_model(dtype)
             path = tmp_path / "model.doam"
             nn.save_checkpoint(model, path)
             data = path.read_bytes()

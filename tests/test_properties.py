@@ -7,6 +7,7 @@ import pytest
 from avdoa import nn
 from avdoa.errors import AvdoaError
 from avdoa.store import read_feature_store, write_feature_store
+from helpers import tiny_model
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -27,8 +28,7 @@ def files(tmp_path_factory):
     rng = np.random.default_rng(0)
     write_feature_store(root / "valid.doaf",
                         [(i, rng.standard_normal((3, 5))) for i in range(4)])
-    nn.save_checkpoint(nn.DoaModel("avaw", hidden=(3, 2), weight_net_hidden=2, gcc_dim=4,
-                                   vis_dim=2, out_dim=5, rng=0), root / "valid.doam")
+    nn.save_checkpoint(tiny_model(np.float64), root / "valid.doam")
     return root
 
 
