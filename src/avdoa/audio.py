@@ -15,10 +15,11 @@ SRP-PHAT steering both use this convention, so a source at azimuth theta
 produces pair peaks at the lags SRP-PHAT predicts for theta.
 """
 
+import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import (
     AllZeroSpectrum,
@@ -314,31 +315,74 @@ def decode_srp(srp_map, n_sources):
 
 
 # ---------------------------------------------------------------------------
-# WAV ingestion (PCM 16/32 and float32; no resampling)
+# WAV files: PCM 16/32 and float32 in, float32 out; no resampling
 # ---------------------------------------------------------------------------
 
-def load_wav(path):
-    """(C, T) audio of a WAV file: float data as stored, PCM scaled to [-1, 1).
+_WAV_DTYPES = {(1, 16): "<i2", (1, 32): "<i4", (3, 32): "<f4"}   # (format code, bits)
+_WAV_HEADER = struct.Struct("<4sI4s4sIHHIIHHH4sII4sI")   # RIFF, fmt (cbSize 0), fact, data
+_WAV_MAX_DATA = 0xFFFFFFFF - (_WAV_HEADER.size - 8)      # the RIFF size (file - 8) is u32
 
-    Non-finite samples raise BadWav.
+
+def load_wav(path):
+    """(C, T) audio of a WAV file: float32 data as stored, PCM scaled to [-1, 1).
+
+    Takes PCM16, PCM32 and float32, each plain or WAVE_FORMAT_EXTENSIBLE.
+    Chunks after the data chunk are ignored.  Anything else, a damaged
+    header, a truncated data chunk and non-finite samples raise BadWav.
     """
-    try:
-        rate, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise BadWav(f"{path}: {exc}") from exc
-    if data.dtype == np.int16:
-        data = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        data = data.astype(np.float64) / 2147483648.0
-    elif data.dtype not in (np.float32, np.float64):
-        raise BadWav(f"{path}: unsupported sample format {data.dtype}")
+    with open(path, "rb") as fh:
+        riff = fh.read(12)
+        if riff[:4] != b"RIFF" or riff[8:] != b"WAVE":
+            raise BadWav(f"{path}: not a RIFF/WAVE file")
+        fmt = None
+        while True:
+            head = fh.read(8)
+            if len(head) < 8:
+                raise BadWav(f"{path}: no data chunk")
+            tag, size = struct.unpack("<4sI", head)
+            if tag == b"data":
+                break
+            end = fh.tell() + size + size % 2      # a chunk is padded to even length
+            if tag == b"fmt ":
+                fmt = fh.read(size)
+            fh.seek(end)
+        if fmt is None or len(fmt) < 16:
+            raise BadWav(f"{path}: {'no' if fmt is None else 'short'} fmt chunk before the data")
+        code, channels, rate, _, block, bits = struct.unpack_from("<HHIIHH", fmt)
+        if code == 0xFFFE and len(fmt) >= 26:    # EXTENSIBLE: its sub-format's code
+            code, = struct.unpack_from("<H", fmt, 24)
+        dtype = _WAV_DTYPES.get((code, bits))
+        if dtype is None:
+            kind = {1: "PCM", 3: "float"}.get(code, f"format {code:#x}")
+            raise BadWav(f"{path}: unsupported sample format {bits}-bit {kind}")
+        if channels == 0 or rate == 0:
+            raise BadWav(f"{path}: {channels} channels at {rate} Hz")
+        if block != channels * bits // 8:
+            raise BadWav(f"{path}: block align {block} for {channels} channels of {bits} bits")
+        if size % block:
+            raise BadWav(f"{path}: {size} data bytes are not whole blocks of {block}")
+        if os.fstat(fh.fileno()).st_size - fh.tell() < size:
+            raise BadWav(f"{path}: truncated data chunk")
+        data = np.fromfile(fh, dtype=dtype, count=size // (bits // 8))
+    if dtype != "<f4":
+        data = data * 2.0 ** (1 - bits)      # exact: a power of two
     elif not np.isfinite(data).all():
         raise BadWav(f"{path}: non-finite samples")
-    return MultichannelAudio(np.atleast_2d(data.T), int(rate))
+    return MultichannelAudio(data.reshape(-1, channels).T, rate)
 
 
 def save_wav(path, audio):
-    """Write float32 samples, one WAV channel per audio channel."""
-    wavfile.write(path, audio.sample_rate, audio.samples.T.astype(np.float32, copy=False))
+    """Write float32 samples, one WAV channel per audio channel, after a 58-byte
+    header (an 18-byte IEEE float fmt chunk, a fact chunk); BadWav past u32 sizes."""
+    channels, frames = audio.samples.shape
+    rate, block = audio.sample_rate, 4 * channels
+    size = block * frames
+    if size > _WAV_MAX_DATA or rate * block > 0xFFFFFFFF:
+        raise BadWav(f"{path}: {size} bytes at {rate} Hz exceed a RIFF WAV's u32 sizes")
+    header = _WAV_HEADER.pack(b"RIFF", _WAV_HEADER.size - 8 + size, b"WAVE",
+                              b"fmt ", 18, 3, channels, rate, rate * block, block, 32, 0,
+                              b"fact", 4, frames, b"data", size)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        # a view, not a copy, when the samples are a (T, C) float32 array transposed
+        fh.write(np.ascontiguousarray(audio.samples.T, dtype="<f4"))

@@ -7,7 +7,6 @@ results in memory before writing any output file.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -19,7 +18,7 @@ from . import dataset as dataset_mod
 from . import evaluation, geom, nn
 from .errors import AvdoaError, ConfigError, NaNLoss
 from .store import (json_field, json_numbers, read_feature_store, read_jsonl,
-                    read_key_values, write_feature_store)
+                    read_key_values, write_feature_store, write_jsonl)
 
 GCC_STORE = "gcc.doaf"
 VISUAL_STORE = "visual.doaf"
@@ -151,13 +150,10 @@ def cmd_features(args):
     indices = [f.frame_index for f in ds.frames]
     write_feature_store(os.path.join(args.out, GCC_STORE), list(zip(indices, gcc)))
     write_feature_store(os.path.join(args.out, VISUAL_STORE), list(zip(indices, vis)))
-    with open(os.path.join(args.out, LABELS_NAME), "w", encoding="utf-8") as fh:
-        for frame in ds.frames:
-            fh.write(json.dumps({
-                "frame_index": frame.frame_index,
-                "timestamp_s": frame.timestamp_s,
-                "azimuths": [float(a) for a in frame.azimuths],
-            }) + "\n")
+    write_jsonl(os.path.join(args.out, LABELS_NAME), (
+        {"frame_index": frame.frame_index, "timestamp_s": frame.timestamp_s,
+         "azimuths": [float(a) for a in frame.azimuths]}
+        for frame in ds.frames))
     print(f"wrote {len(ds)} feature frames to {args.out}")
 
 
@@ -233,8 +229,7 @@ def _report(summary, out_dir, prefix):
         values += ["" if result is None else f"{result.mae:.4f}",
                    "" if result is None else f"{result.acc:.2f}"]
     os.makedirs(out_dir, exist_ok=True)
-    evaluation.write_results(summary["overall"],
-                             os.path.join(out_dir, f"{prefix}results.jsonl"))
+    write_jsonl(os.path.join(out_dir, f"{prefix}results.jsonl"), summary["overall"].records)
     with open(os.path.join(out_dir, f"{prefix}summary.csv"), "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         fh.write(",".join(values) + "\n")

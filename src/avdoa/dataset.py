@@ -14,7 +14,6 @@ Frame records carry the 3D source positions and their azimuths; azimuths
 are re-derived from the positions on load and must agree to 1e-6 degrees.
 """
 
-import json
 import os
 from dataclasses import dataclass, field, replace
 
@@ -24,7 +23,7 @@ from . import audio as audio_mod
 from . import geom, visual
 from .errors import ConfigError, EmptyDataset, TooShort
 from .nn import encode_target
-from .store import json_field, read_jsonl
+from .store import json_field, read_jsonl, write_jsonl
 
 MANIFEST_NAME = "manifest.jsonl"
 _IN_FOV_TRIES = 1000
@@ -141,6 +140,9 @@ def simulate(config, out_dir, array=None, calibration=None):
     array = array if array is not None else geom.MicArray.square()
     cal = calibration if calibration is not None else default_calibration()
     frame_samples = int(round(config.frame_len_s * config.sample_rate))
+    wav_bytes = config.frames * frame_samples * array.n_mics * 4
+    if wav_bytes > audio_mod._WAV_MAX_DATA:
+        raise ConfigError(f"{wav_bytes} bytes of audio exceed a RIFF WAV's u32 sizes")
     # a wav_file scene reads its file once; each source takes a segment of it
     wav = audio_mod.load_wav(config.wav_path) if config.source_kind == "wav_file" else None
 
@@ -205,24 +207,19 @@ def simulate(config, out_dir, array=None, calibration=None):
         "audio_file": "audio.wav",
         "detections_file": "detections.jsonl",
     }
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for record in records:
-            fh.write(json.dumps({
-                "frame_index": record.frame_index,
-                "timestamp_s": record.timestamp_s,
-                "audio_offset": record.audio_offset,
-                "active_sources": [
-                    {
-                        "id": src.source_id,
-                        "x": src.position[0],
-                        "y": src.position[1],
-                        "z": src.position[2],
-                        "azimuth_deg": src.azimuth_deg,
-                    }
-                    for src in record.sources
-                ],
-            }) + "\n")
+    write_jsonl(os.path.join(out_dir, MANIFEST_NAME), [header] + [
+        {
+            "frame_index": record.frame_index,
+            "timestamp_s": record.timestamp_s,
+            "audio_offset": record.audio_offset,
+            "active_sources": [
+                {"id": src.source_id, "x": src.position[0], "y": src.position[1],
+                 "z": src.position[2], "azimuth_deg": src.azimuth_deg}
+                for src in record.sources
+            ],
+        }
+        for record in records
+    ])
     return out_dir
 
 

@@ -8,7 +8,6 @@ counts toward accuracy when its matched error is at most the allowance
 """
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,13 +140,6 @@ def score(score_maps, truths, frame_indices=None):
         records = [record for record in overall.records if len(record["gt"]) == n]
         summary[label] = _result(records) if records else None
     return summary
-
-
-def write_results(result, path):
-    """Per-frame results as line-delimited JSON records."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in result.records:
-            fh.write(json.dumps(record) + "\n")
 
 
 # ---------------------------------------------------------------------------

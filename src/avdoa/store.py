@@ -1,5 +1,5 @@
 """Binary per-frame feature container, the reader of both binary formats,
-and checked readers of the text formats (key = value, JSON lines).
+and the text formats (key = value, JSON lines): checked readers, a JSON-lines writer.
 
 Layout: magic "DOAF", version u16, then one or more records, one per
 frame, of {frame_index u32, P u16, L u16, P*L float32 values}, all
@@ -55,6 +55,13 @@ def read_jsonl(path):
             if not isinstance(record, dict):
                 raise ConfigError(f"{path}:{lineno}: expected a JSON object")
             yield lineno, record
+
+
+def write_jsonl(path, records):
+    """Write each record, a JSON object, as one line of a JSON-lines file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
 
 
 # what each kind of JSON field accepts: an int is a number, a bool is neither

@@ -7,14 +7,13 @@ vertical one).  Frames without detections get a flat 1/L vector so
 "nothing seen" stays numerically distinct from every detection encoding.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, EmptyDataset
 from .geom import BoundingBox
-from .store import json_field, json_numbers, read_jsonl
+from .store import json_field, json_numbers, read_jsonl, write_jsonl
 
 FEATURE_LENGTH = 51
 
@@ -103,13 +102,9 @@ def detection_rate(frames):
 # ---------------------------------------------------------------------------
 
 def save_detections(frames, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for frame in frames:
-            record = {
-                "frame_index": frame.frame_index,
-                "boxes": [[box.u, box.v, box.w, box.h] for box in frame.boxes],
-            }
-            fh.write(json.dumps(record) + "\n")
+    write_jsonl(path, ({"frame_index": frame.frame_index,
+                        "boxes": [[box.u, box.v, box.w, box.h] for box in frame.boxes]}
+                       for frame in frames))
 
 
 def load_detections(path):

@@ -1,3 +1,6 @@
+import struct
+import wave
+
 import numpy as np
 import pytest
 
@@ -426,6 +429,30 @@ class TestMultichannelAudio:
                 audio.MultichannelAudio(samples, 48000)
 
 
+def _write_pcm(path, pcm, rate):
+    """A plain PCM WAV of (T, C) integer samples, written by the stdlib."""
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(pcm.shape[1])
+        fh.setsampwidth(pcm.dtype.itemsize)
+        fh.setframerate(rate)
+        fh.writeframes(pcm.astype(pcm.dtype.newbyteorder("<")).tobytes())
+
+
+def _fmt(code, channels, rate, bits, extra=b""):
+    block = channels * bits // 8
+    return struct.pack("<HHIIHH", code, channels, rate, rate * block, block, bits) + extra
+
+
+def _riff(*chunks):
+    """A RIFF/WAVE file of (tag, body) chunks, each padded to even length."""
+    body = b"".join(tag + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2)
+                    for tag, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+_DATA = (b"data", bytes(48))     # whole blocks of every format below
+
+
 class TestWavIo:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_samples_rejected(self, tmp_path, bad):
@@ -448,23 +475,19 @@ class TestWavIo:
         assert np.array_equal(loaded.samples, x.samples)
 
     def test_pcm16_ingestion(self, tmp_path):
-        from scipy.io import wavfile
-
         rng = np.random.default_rng(1)
         pcm = (rng.uniform(-0.5, 0.5, size=(1000, 2)) * 32767).astype(np.int16)
         path = tmp_path / "pcm.wav"
-        wavfile.write(path, 16000, pcm)
+        _write_pcm(path, pcm, 16000)
         loaded = audio.load_wav(path)
         assert loaded.samples.shape == (2, 1000)
         assert np.max(np.abs(loaded.samples)) <= 1.0
 
     def test_pcm32_ingestion(self, tmp_path):
-        from scipy.io import wavfile
-
         rng = np.random.default_rng(2)
         pcm = (rng.uniform(-0.5, 0.5, size=800) * (2**31 - 1)).astype(np.int32)
         path = tmp_path / "pcm32.wav"
-        wavfile.write(path, 48000, pcm)
+        _write_pcm(path, pcm[:, None], 48000)
         loaded = audio.load_wav(path)
         assert loaded.samples.shape == (1, 800)
         assert np.allclose(loaded.samples[0], pcm / 2**31, atol=1e-9)
@@ -474,3 +497,73 @@ class TestWavIo:
         path.write_bytes(b"definitely not a wav file")
         with pytest.raises(BadWav):
             audio.load_wav(path)
+
+    def test_header_is_the_58_bytes_of_an_ieee_float_wav(self, tmp_path):
+        x = np.arange(6, dtype=np.float32).reshape(3, 2)
+        path = tmp_path / "x.wav"
+        audio.save_wav(path, audio.MultichannelAudio(x, 48000))
+        assert path.read_bytes() == _riff((b"fmt ", _fmt(3, 3, 48000, 32, b"\0\0")),
+                                          (b"fact", struct.pack("<I", 2)),
+                                          (b"data", x.T.astype("<f4").tobytes()))
+
+    def test_extensible_float32_loads_as_the_plain_file(self, tmp_path):
+        x = np.random.default_rng(3).standard_normal((3, 40)).astype(np.float32)
+        plain = tmp_path / "plain.wav"
+        audio.save_wav(plain, audio.MultichannelAudio(x, 16000))
+        # cbSize 22, 32 valid bits, no channel mask, then KSDATAFORMAT_SUBTYPE_IEEE_FLOAT
+        guid = struct.pack("<H", 3) + bytes.fromhex("000000001000800000aa00389b71")
+        extensible = tmp_path / "extensible.wav"
+        extensible.write_bytes(_riff(
+            (b"fmt ", _fmt(0xFFFE, 3, 16000, 32, struct.pack("<HHI", 22, 32, 0) + guid)),
+            (b"data", x.T.tobytes())))
+        loaded, expected = audio.load_wav(extensible), audio.load_wav(plain)
+        assert loaded.sample_rate == expected.sample_rate == 16000
+        assert loaded.samples.dtype == np.float32
+        assert np.array_equal(loaded.samples, expected.samples)
+
+    def test_chunks_around_the_data_are_skipped(self, tmp_path):
+        x = np.arange(8, dtype=np.float32).reshape(2, 4)
+        path = tmp_path / "x.wav"
+        path.write_bytes(_riff((b"LIST", b"odd"), (b"fmt ", _fmt(3, 2, 8000, 32)),
+                               (b"junk", b"12345"), (b"data", x.T.tobytes()),
+                               (b"cue ", b"trailing")))
+        assert np.array_equal(audio.load_wav(path).samples, x)
+
+    @pytest.mark.parametrize("chunks, match", [
+        ([(b"fmt ", _fmt(1, 2, 16000, 8)), _DATA], "unsupported sample format 8-bit PCM"),
+        ([(b"fmt ", _fmt(1, 2, 16000, 24)), _DATA], "unsupported sample format 24-bit PCM"),
+        ([(b"fmt ", _fmt(3, 2, 16000, 64)), _DATA], "unsupported sample format 64-bit float"),
+        ([_DATA, (b"fmt ", _fmt(3, 2, 16000, 32))], "no fmt chunk before the data"),
+        ([(b"fmt ", _fmt(3, 2, 16000, 32)[:14]), _DATA], "short fmt chunk"),
+        ([(b"fmt ", _fmt(3, 0, 16000, 32)), _DATA], "0 channels at 16000 Hz"),
+        ([(b"fmt ", _fmt(3, 2, 0, 32)), _DATA], "2 channels at 0 Hz"),
+        ([(b"fmt ", _fmt(3, 2, 16000, 32)[:12] + struct.pack("<HH", 4, 32)), _DATA],
+         "block align 4 for 2 channels of 32 bits"),
+        ([(b"fmt ", _fmt(3, 2, 16000, 32)), (b"data", bytes(36))],
+         "36 data bytes are not whole blocks of 8"),
+    ], ids=["pcm8", "pcm24", "float64", "data_first", "short_fmt", "no_channels",
+            "zero_rate", "block_align", "partial_block"])
+    def test_malformed_or_unsupported_header_rejected(self, tmp_path, chunks, match):
+        path = tmp_path / "x.wav"
+        path.write_bytes(_riff(*chunks))
+        with pytest.raises(BadWav, match=match):
+            audio.load_wav(path)
+
+    def test_truncated_data_chunk_rejected(self, tmp_path):
+        path = tmp_path / "x.wav"
+        audio.save_wav(path, audio.MultichannelAudio(np.zeros((2, 50), np.float32), 16000))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(BadWav, match="truncated data chunk"):
+            audio.load_wav(path)
+
+    def test_oversized_data_refused_before_writing(self, tmp_path):
+        # a broadcast view: 4 GiB of samples that take no memory
+        x = np.broadcast_to(np.zeros((1, 1), np.float32), (1, 2**30))
+        path = tmp_path / "x.wav"
+        with pytest.raises(BadWav, match="u32"):
+            audio.save_wav(path, audio.MultichannelAudio(x, 16000))
+        assert not path.exists()
+
+    def test_unreadable_path_is_an_os_error(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            audio.load_wav(tmp_path)

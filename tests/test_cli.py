@@ -58,20 +58,30 @@ class TestSimulate:
                    "--visibility", "2.0") == 2
         assert not out.exists()
 
-    def test_speech_scene_does_not_import_scipy_signal(self, tmp_path):
+    def test_speech_scene_does_not_import_scipy(self, tmp_path):
         # in a child process, so no other test's imports count
         src = os.path.dirname(os.path.dirname(os.path.abspath(avdoa.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
+        ds, out = str(tmp_path / "ds"), str(tmp_path / "out")
         script = ("import sys\n"
                   "from avdoa import cli\n"
-                  f"code = cli.main(['simulate', '--out', {str(tmp_path / 'ds')!r}, "
-                  "'--frames', '4', '--source-kind', 'speech_like_ar'])\n"
-                  "print(code, 'scipy.signal' in sys.modules)\n")
+                  f"codes = [cli.main(['simulate', '--out', {ds!r}, '--frames', '4', "
+                  "'--source-kind', 'speech_like_ar']),\n"
+                  f"         cli.main(['features', '--dataset', {ds!r}, '--out', {out!r}]),\n"
+                  f"         cli.main(['baseline', '--dataset', {ds!r}, '--out', {out!r}])]\n"
+                  "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "0 False"
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
+    def test_frames_past_the_wav_size_limit_exit_2_at_once(self, tmp_path, capsys):
+        # 4 mics x 8,160 samples x 4 bytes: 32,896 frames fit a RIFF WAV's u32 sizes
+        out = tmp_path / "ds"
+        assert run("simulate", "--out", out, "--frames", 40000) == 2
+        assert "u32" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"
@@ -255,6 +265,13 @@ class TestFeatures:
         assert run("features", "--dataset", tmp_path / "missing",
                    "--out", tmp_path / "o") == 4
         assert not (tmp_path / "o").exists()   # nothing written on error
+
+    def test_unreadable_wav_exits_4(self, pipeline, tmp_path):
+        _, ds, _, _ = pipeline
+        shutil.copytree(ds, tmp_path / "ds", ignore=shutil.ignore_patterns("audio.wav"))
+        (tmp_path / "ds" / "audio.wav").mkdir()
+        assert run("features", "--dataset", tmp_path / "ds", "--out", tmp_path / "o") == 4
+        assert not (tmp_path / "o").exists()
 
 
 class TestTrain:

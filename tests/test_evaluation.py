@@ -1,10 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from avdoa import audio, dataset, evaluation, nn, visual
 from avdoa.errors import CardinalityMismatch, EmptyDataset
+from avdoa.store import read_jsonl, write_jsonl
 from helpers import first_cheapest_matching, three_pass_decode_doa
 
 
@@ -191,8 +190,8 @@ class TestMaeAcc:
     def test_results_file(self, tmp_path):
         result = evaluation.mae_acc([[10.0]], [[12.0]], frame_indices=[7])
         path = tmp_path / "results.jsonl"
-        evaluation.write_results(result, path)
-        record = json.loads(path.read_text().strip())
+        write_jsonl(path, result.records)
+        [(_, record)] = read_jsonl(path)
         assert record["frame_index"] == 7
         assert record["gt"] == [12.0]
         assert record["pred"] == [10.0]

@@ -1,10 +1,10 @@
-"""Property tests of the binary readers: a damaged .doaf or .doam file gives a
-result or a typed error (AvdoaError, OSError), never any other exception."""
+"""Property tests of the binary readers: a damaged .doaf, .doam or .wav file
+gives a result or a typed error (AvdoaError, OSError), never any other exception."""
 
 import numpy as np
 import pytest
 
-from avdoa import nn
+from avdoa import audio, nn
 from avdoa.errors import AvdoaError
 from avdoa.store import read_feature_store, write_feature_store
 from helpers import tiny_model
@@ -29,11 +29,14 @@ def files(tmp_path_factory):
     write_feature_store(root / "valid.doaf",
                         [(i, rng.standard_normal((3, 5))) for i in range(4)])
     nn.save_checkpoint(tiny_model(np.float64), root / "valid.doam")
+    audio.save_wav(root / "valid.wav", audio.MultichannelAudio(
+        rng.standard_normal((3, 40)).astype(np.float32), 16000))
     return root
 
 
 @pytest.mark.parametrize("name, reader", [("doaf", read_feature_store),
-                                          ("doam", nn.load_checkpoint)])
+                                          ("doam", nn.load_checkpoint),
+                                          ("wav", audio.load_wav)])
 def test_damaged_file_gives_result_or_typed_error(files, name, reader):
     damaged = files / f"damaged.{name}"
 
