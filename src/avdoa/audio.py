@@ -34,6 +34,7 @@ from .errors import (
 DEFAULT_FRAME_LEN_S = 0.170
 DEFAULT_LAGS = (-25, 25)
 SOURCE_KINDS = ("white", "speech_like_ar", "wav_file")    # synth_source kinds
+_BLOCK_SAMPLES = 65536      # scratch size of the blocked passes over a whole recording
 
 # fixed all-pole coefficients for the speech-like source: a mild formant
 # resonance cascaded with a low-pass tilt pole
@@ -173,14 +174,39 @@ def render_array(sources, array):
     return MultichannelAudio(np.fft.irfft(spectrum, n_fft, axis=1)[:, :n], fs)
 
 
+def _mean_square(x, scratch):
+    """``np.mean(np.square(x, dtype=float64))``, bit for bit, through ``scratch``.
+
+    numpy sums a whole array pairwise in memory order, halving each range at
+    a multiple of 8.  This follows the same halving down to ranges that fit
+    the 1-D float64 ``scratch`` and squares only those, so no temporary the
+    size of ``x`` is made; a WAV's F-ordered (C, T) view is read in place.
+    """
+    flat = np.ravel(x, order="K")      # a view of any C- or F-contiguous array
+
+    def total(part):
+        n = part.size
+        if n <= scratch.size:
+            return np.add.reduce(np.square(part, out=scratch[:n], dtype=np.float64))
+        half = n // 2 - n // 2 % 8
+        return total(part[:half]) + total(part[half:])
+
+    return float(total(flat)) / max(flat.size, 1)      # an empty signal is silent
+
+
 def add_noise_at_snr(audio, snr_db, seed=None):
     """Add white Gaussian noise so the realized SNR equals ``snr_db``.
 
     Independent noise per channel; the scale is computed from the realized
     noise power, so the output power ratio matches the request exactly.
-    The signal power is summed in float64 whatever the samples' dtype.
+    Both powers are summed in float64 whatever the samples' dtype.  The
+    noise is drawn into the float64 output buffer and the signal added into
+    it, so for C- or F-contiguous samples the only other memory is a scratch
+    block of 65,536 samples.
     """
-    power = float(np.mean(np.square(audio.samples, dtype=np.float64)))
+    samples = audio.samples
+    scratch = np.empty(_BLOCK_SAMPLES)
+    power = _mean_square(samples, scratch)
     if power <= 0:
         raise SilentSignal("cannot set an SNR on an all-zero signal")
     try:
@@ -190,10 +216,10 @@ def add_noise_at_snr(audio, snr_db, seed=None):
     if not 0.0 < target < np.inf:
         raise ConfigError(f"SNR {snr_db:g} dB needs a noise power outside the float range")
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(audio.samples.shape)
-    noise_power = float(np.mean(noise**2))
-    noise *= np.sqrt(target / noise_power)
-    return MultichannelAudio(audio.samples + noise, audio.sample_rate)
+    noise = rng.standard_normal(samples.shape)
+    noise *= np.sqrt(target / _mean_square(noise, scratch))
+    noise += samples        # the same bits as samples + noise
+    return MultichannelAudio(noise, audio.sample_rate)
 
 
 def _whitened_cross_spectrum(spectra, fft_len):
@@ -366,9 +392,19 @@ def load_wav(path):
         data = np.fromfile(fh, dtype=dtype, count=size // (bits // 8))
     if dtype != "<f4":
         data = data * 2.0 ** (1 - bits)      # exact: a power of two
-    elif not np.isfinite(data).all():
+    elif not all(np.isfinite(data[i:i + _BLOCK_SAMPLES]).all()
+                 for i in range(0, data.size, _BLOCK_SAMPLES)):
         raise BadWav(f"{path}: non-finite samples")
     return MultichannelAudio(data.reshape(-1, channels).T, rate)
+
+
+def check_wav_size(path, channels, frames, rate):
+    """Data bytes of a float32 WAV of this shape; BadWav when its data size or
+    byte rate does not fit the u32 fields of a RIFF header."""
+    size = 4 * channels * frames
+    if size > _WAV_MAX_DATA or rate * 4 * channels > 0xFFFFFFFF:
+        raise BadWav(f"{path}: {size} bytes at {rate} Hz exceed a RIFF WAV's u32 sizes")
+    return size
 
 
 def save_wav(path, audio):
@@ -376,9 +412,7 @@ def save_wav(path, audio):
     header (an 18-byte IEEE float fmt chunk, a fact chunk); BadWav past u32 sizes."""
     channels, frames = audio.samples.shape
     rate, block = audio.sample_rate, 4 * channels
-    size = block * frames
-    if size > _WAV_MAX_DATA or rate * block > 0xFFFFFFFF:
-        raise BadWav(f"{path}: {size} bytes at {rate} Hz exceed a RIFF WAV's u32 sizes")
+    size = check_wav_size(path, channels, frames, rate)
     header = _WAV_HEADER.pack(b"RIFF", _WAV_HEADER.size - 8 + size, b"WAVE",
                               b"fmt ", 18, 3, channels, rate, rate * block, block, 32, 0,
                               b"fact", 4, frames, b"data", size)

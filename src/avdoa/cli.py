@@ -264,11 +264,19 @@ def cmd_eval(args):
     _report(evaluation.score(posterior, azimuths, indices), args.out, "")
 
 
+def _load_subset(args):
+    """The frames of ``args.dataset`` that --holdout and --subset select.
+
+    Only the subset is returned, so the rest of the recording is freed
+    before any noise is drawn.
+    """
+    ds = dataset_mod.FrameDataset.load(args.dataset)
+    return ds.subset(_select_subset(len(ds), args.holdout, args.subset))
+
+
 def cmd_baseline(args):
     snr = _parsed(_finite, args.snr, "--snr")
-    ds = dataset_mod.FrameDataset.load(args.dataset)
-    rows = _select_subset(len(ds), args.holdout, args.subset)
-    subset = ds.subset(rows)
+    subset = _load_subset(args)
     gcc = dataset_mod.gcc_stack(subset, snr, args.seed)
     feature = audio_mod.GccFeature(gcc, *audio_mod.DEFAULT_LAGS, subset.audio.sample_rate)
     srp = audio_mod.srp_phat(feature, subset.array)
@@ -305,10 +313,8 @@ def cmd_robustness(args):
                   or evaluation.SNR_LEVELS_DB)
     fdsp_levels = (_parsed(_parse_fdsp_levels, args.fdsp_levels, "--fdsp-levels")
                    or evaluation.FDSP_LEVELS)
+    subset = _load_subset(args)
     model = nn.load_checkpoint(args.checkpoint)
-    ds = dataset_mod.FrameDataset.load(args.dataset)
-    rows = _select_subset(len(ds), args.holdout, args.subset)
-    subset = ds.subset(rows)
     grid = evaluation.robustness_grid(model, subset, snr_levels, fdsp_levels, args.seed)
     os.makedirs(args.out, exist_ok=True)
     evaluation.write_grid_csv(grid, os.path.join(args.out, "robustness_grid.csv"))

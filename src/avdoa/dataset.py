@@ -140,9 +140,10 @@ def simulate(config, out_dir, array=None, calibration=None):
     array = array if array is not None else geom.MicArray.square()
     cal = calibration if calibration is not None else default_calibration()
     frame_samples = int(round(config.frame_len_s * config.sample_rate))
-    wav_bytes = config.frames * frame_samples * array.n_mics * 4
-    if wav_bytes > audio_mod._WAV_MAX_DATA:
-        raise ConfigError(f"{wav_bytes} bytes of audio exceed a RIFF WAV's u32 sizes")
+    wav_path = os.path.join(out_dir, "audio.wav")
+    # refused here, before any file of the dataset is written
+    audio_mod.check_wav_size(wav_path, array.n_mics, config.frames * frame_samples,
+                             config.sample_rate)
     # a wav_file scene reads its file once; each source takes a segment of it
     wav = audio_mod.load_wav(config.wav_path) if config.source_kind == "wav_file" else None
 
@@ -191,10 +192,7 @@ def simulate(config, out_dir, array=None, calibration=None):
     os.makedirs(out_dir, exist_ok=True)
     geom.save_array_geometry(array, os.path.join(out_dir, "array.txt"))
     geom.save_calibration(cal, os.path.join(out_dir, "camera.txt"))
-    audio_mod.save_wav(
-        os.path.join(out_dir, "audio.wav"),
-        audio_mod.MultichannelAudio(buffer.T, config.sample_rate),
-    )
+    audio_mod.save_wav(wav_path, audio_mod.MultichannelAudio(buffer.T, config.sample_rate))
     visual.save_detections(detection_frames, os.path.join(out_dir, "detections.jsonl"))
     header = {
         "format": "avdoa-dataset",

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import wave
 
 import numpy as np
@@ -173,6 +174,52 @@ class TestAddNoise:
         double = audio.add_noise_at_snr(
             audio.MultichannelAudio(x.astype(np.float64), 48000), 0.0, seed=1)
         assert np.array_equal(single.samples, double.samples)
+
+    @pytest.mark.parametrize("layout", ["C", "wav"])
+    def test_blocked_powers_give_the_whole_array_result(self, tmp_path, layout):
+        # 4 x 50,001 samples: three whole blocks and a part, summed block by
+        # block in numpy's own pairwise order, so the bits do not move
+        x = np.random.default_rng(7).standard_normal((4, 50001)).astype(np.float32)
+        clean = audio.MultichannelAudio(x, 16000)
+        if layout == "wav":
+            audio.save_wav(tmp_path / "x.wav", clean)
+            clean = audio.load_wav(tmp_path / "x.wav")
+            assert clean.samples.flags.f_contiguous and not clean.samples.flags.c_contiguous
+        noisy = audio.add_noise_at_snr(clean, -5.0, seed=2)
+        signal = clean.samples.astype(np.float64)
+        realised = 10 * np.log10(np.mean(signal**2) / np.mean((noisy.samples - signal) ** 2))
+        assert abs(realised + 5.0) < 1e-9
+        noise = np.random.default_rng(2).standard_normal(x.shape)
+        target = np.mean(signal**2) / 10.0 ** -0.5
+        assert np.array_equal(noisy.samples,
+                              signal + noise * np.sqrt(target / np.mean(noise**2)))
+
+
+def _traced_peak(call):
+    """(result, peak bytes numpy and Python allocated during ``call()``)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryPeaks:
+    """numpy reports its buffers to tracemalloc, so these peaks repeat exactly."""
+
+    def test_noise_needs_no_more_than_its_output(self):
+        x = audio.MultichannelAudio(
+            np.random.default_rng(0).standard_normal((4, 240000)).astype(np.float32), 16000)
+        noisy, peak = _traced_peak(lambda: audio.add_noise_at_snr(x, 0.0, seed=1))
+        assert peak <= 1.1 * noisy.samples.nbytes
+
+    def test_wav_load_needs_no_more_than_its_data(self, tmp_path):
+        x = np.random.default_rng(0).standard_normal((4, 240000)).astype(np.float32)
+        audio.save_wav(tmp_path / "x.wav", audio.MultichannelAudio(x, 16000))
+        loaded, peak = _traced_peak(lambda: audio.load_wav(tmp_path / "x.wav"))
+        assert np.array_equal(loaded.samples, x)
+        assert peak <= 1.05 * x.nbytes
 
 
 class TestGccPhatPair:
@@ -458,6 +505,16 @@ class TestWavIo:
     def test_non_finite_samples_rejected(self, tmp_path, bad):
         x = np.zeros((2, 100), dtype=np.float32)
         x[1, 40] = bad
+        path = tmp_path / "x.wav"
+        audio.save_wav(path, audio.MultichannelAudio(x, 48000))
+        with pytest.raises(BadWav, match="non-finite samples"):
+            audio.load_wav(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_in_the_last_partial_block_rejected(self, tmp_path, bad):
+        # 80,000 samples: one whole block of the check and a part
+        x = np.zeros((2, 40000), dtype=np.float32)
+        x[1, -1] = bad
         path = tmp_path / "x.wav"
         audio.save_wav(path, audio.MultichannelAudio(x, 48000))
         with pytest.raises(BadWav, match="non-finite samples"):

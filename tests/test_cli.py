@@ -83,6 +83,15 @@ class TestSimulate:
         assert "u32" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_byte_rate_past_the_wav_size_limit_exits_2_before_writing(self, tmp_path, capsys):
+        # 48,000 bytes of data fit, but 16 bytes a frame at 300 MHz is past u32
+        out = tmp_path / "ds"
+        assert run("simulate", "--out", out, "--frames", 1, "--sample-rate", 300000000,
+                   "--frame-len", 0.00001, "--source-kind", "white") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "u32" in err[0]
+        assert not (out / "array.txt").exists() and not (out / "camera.txt").exists()
+
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("frames = 12\nvisibility = 1.0\nsource_kind = white\n")

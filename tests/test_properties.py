@@ -1,11 +1,14 @@
 """Property tests of the binary readers: a damaged .doaf, .doam or .wav file
-gives a result or a typed error (AvdoaError, OSError), never any other exception."""
+gives a result or a typed error (AvdoaError, OSError), never any other exception.
+A WAV gives finite audio or BadWav (or OSError)."""
+
+import wave
 
 import numpy as np
 import pytest
 
 from avdoa import audio, nn
-from avdoa.errors import AvdoaError
+from avdoa.errors import AvdoaError, BadWav
 from avdoa.store import read_feature_store, write_feature_store
 from helpers import tiny_model
 
@@ -31,22 +34,31 @@ def files(tmp_path_factory):
     nn.save_checkpoint(tiny_model(np.float64), root / "valid.doam")
     audio.save_wav(root / "valid.wav", audio.MultichannelAudio(
         rng.standard_normal((3, 40)).astype(np.float32), 16000))
+    with wave.open(str(root / "valid.pcm16.wav"), "wb") as fh:
+        fh.setnchannels(3)
+        fh.setsampwidth(2)
+        fh.setframerate(16000)
+        fh.writeframes(rng.integers(-2**15, 2**15, (40, 3)).astype("<i2").tobytes())
     return root
 
 
 @pytest.mark.parametrize("name, reader", [("doaf", read_feature_store),
                                           ("doam", nn.load_checkpoint),
-                                          ("wav", audio.load_wav)])
+                                          ("wav", audio.load_wav),
+                                          ("pcm16.wav", audio.load_wav)])
 def test_damaged_file_gives_result_or_typed_error(files, name, reader):
     damaged = files / f"damaged.{name}"
+    is_wav = name.endswith("wav")
 
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(_damaged((files / f"valid.{name}").read_bytes()))
     def check(data):
         damaged.write_bytes(data)
         try:
-            reader(damaged)
-        except (AvdoaError, OSError):
-            pass
+            result = reader(damaged)
+        except (BadWav, OSError) if is_wav else (AvdoaError, OSError):
+            return
+        if is_wav:
+            assert np.isfinite(result.samples).all()
 
     check()
