@@ -28,7 +28,6 @@ from .errors import (
     LagRangeTooSmall,
     SampleRateMismatch,
     SilentSignal,
-    TooShort,
 )
 
 DEFAULT_FRAME_LEN_S = 0.170
@@ -86,7 +85,7 @@ class GccFeature:
             raise ValueError("lag axis inconsistent with lag range")
 
 
-def synth_source(kind, duration_s, sample_rate, seed=None, wav_path=None, wav=None):
+def synth_source(kind, duration_s, sample_rate, seed=None, wav=None):
     """Generate (or load) a one-channel test source, deterministic per seed.
 
     kind:
@@ -94,9 +93,9 @@ def synth_source(kind, duration_s, sample_rate, seed=None, wav_path=None, wav=No
       * "speech_like_ar" white noise through a fixed low-order all-pole
                          filter, amplitude-modulated at a syllabic rate so
                          the signal has spectral tilt and near-pauses
-      * "wav_file"       a segment of ``wav_path``'s first channel, as long
-                         as the duration, starting at a seeded random sample;
-                         ``wav``, when given, is that file already loaded
+      * "wav_file"       a segment of the first channel of ``wav``, loaded
+                         audio at ``sample_rate`` at least as long as the
+                         duration, starting at a seeded random sample
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
@@ -120,16 +119,9 @@ def synth_source(kind, duration_s, sample_rate, seed=None, wav_path=None, wav=No
         if rms > 0:
             x = x / rms
         return MultichannelAudio(x[None, :], sample_rate)
-    if kind == "wav_file":      # ScenarioConfig makes sure wav_path is set
-        audio = wav if wav is not None else load_wav(wav_path)
-        if audio.sample_rate != sample_rate:
-            raise SampleRateMismatch(
-                f"{wav_path}: {audio.sample_rate} Hz, requested {sample_rate} Hz"
-            )
-        if audio.n_samples < n:
-            raise TooShort(f"{wav_path}: {audio.n_samples} samples < {n} requested")
-        start = int(rng.integers(audio.n_samples - n + 1))
-        return MultichannelAudio(audio.samples[:1, start:start + n], sample_rate)
+    if kind == "wav_file":      # dataset.simulate checks the rate and the length
+        start = int(rng.integers(wav.n_samples - n + 1))
+        return MultichannelAudio(wav.samples[:1, start:start + n], sample_rate)
     raise ValueError(f"unknown source kind {kind!r}")
 
 
@@ -350,7 +342,8 @@ _WAV_MAX_DATA = 0xFFFFFFFF - (_WAV_HEADER.size - 8)      # the RIFF size (file -
 
 
 def load_wav(path):
-    """(C, T) audio of a WAV file: float32 data as stored, PCM scaled to [-1, 1).
+    """(C, T) audio of a WAV file: float32 data as stored, PCM scaled to [-1, 1)
+    (PCM16 in float32, PCM32 in float64).
 
     Takes PCM16, PCM32 and float32, each plain or WAVE_FORMAT_EXTENSIBLE.
     Chunks after the data chunk are ignored.  Anything else, a damaged
@@ -391,7 +384,8 @@ def load_wav(path):
             raise BadWav(f"{path}: truncated data chunk")
         data = np.fromfile(fh, dtype=dtype, count=size // (bits // 8))
     if dtype != "<f4":
-        data = data * 2.0 ** (1 - bits)      # exact: a power of two
+        # exact: a power of two, in float32 for PCM16 (15 bits fit its mantissa)
+        data = data * (np.float32 if bits == 16 else np.float64)(2.0 ** (1 - bits))
     elif not all(np.isfinite(data[i:i + _BLOCK_SAMPLES]).all()
                  for i in range(0, data.size, _BLOCK_SAMPLES)):
         raise BadWav(f"{path}: non-finite samples")

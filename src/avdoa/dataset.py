@@ -21,7 +21,7 @@ import numpy as np
 
 from . import audio as audio_mod
 from . import geom, visual
-from .errors import ConfigError, EmptyDataset, TooShort
+from .errors import ConfigError, EmptyDataset, SampleRateMismatch, TooShort
 from .nn import encode_target
 from .store import json_field, read_jsonl, write_jsonl
 
@@ -145,7 +145,15 @@ def simulate(config, out_dir, array=None, calibration=None):
     audio_mod.check_wav_size(wav_path, array.n_mics, config.frames * frame_samples,
                              config.sample_rate)
     # a wav_file scene reads its file once; each source takes a segment of it
-    wav = audio_mod.load_wav(config.wav_path) if config.source_kind == "wav_file" else None
+    wav = None
+    if config.source_kind == "wav_file":
+        wav = audio_mod.load_wav(config.wav_path)
+        if wav.sample_rate != config.sample_rate:
+            raise SampleRateMismatch(
+                f"{config.wav_path}: {wav.sample_rate} Hz, requested {config.sample_rate} Hz")
+        if wav.n_samples < frame_samples:
+            raise TooShort(
+                f"{config.wav_path}: {wav.n_samples} samples < {frame_samples} requested")
 
     # time-major, so the WAV writer gets C-contiguous (frames, channels) data
     buffer = np.zeros((config.frames * frame_samples, array.n_mics), dtype=np.float32)
@@ -168,7 +176,7 @@ def simulate(config, out_dir, array=None, calibration=None):
             sources.append(SourceRecord(s, position, azimuth))
             signal = audio_mod.synth_source(
                 config.source_kind, config.frame_len_s, config.sample_rate,
-                seed=[config.seed, 3, f, s], wav_path=config.wav_path, wav=wav,
+                seed=[config.seed, 3, f, s], wav=wav,
             )
             rendered.append((signal, azimuth))
             if visible:

@@ -176,10 +176,11 @@ class BatchNorm:
 
 
 class Adam:
-    """Adam with bias correction; state (m, v, t) lives on the optimizer.
+    """Adam with bias correction over the parameter and gradient arrays it is given.
 
-    The state and scratch take the parameters' dtype, which must be one
-    dtype shared by every parameter and gradient.
+    The arrays are bound at construction: every step reads the gradients
+    and updates the parameters in place.  They must share one dtype, which
+    the state (m, v) and scratch take, and be C-contiguous in equal shapes.
     """
 
     beta1 = 0.9
@@ -187,34 +188,32 @@ class Adam:
     eps = 1e-8
     _CHUNK_BYTES = 1 << 17   # per update chunk; the scratch buffers stay in cache
 
-    def __init__(self, learning_rate=TrainConfig.learning_rate):
-        self.learning_rate = learning_rate
-        self.step_count = 0
-        self._m = self._v = self._scratch = None
-
-    def step(self, params, grads):
+    def __init__(self, params, grads, learning_rate=TrainConfig.learning_rate):
         dtypes = {a.dtype for a in (*params, *grads)}
-        if len(dtypes) > 1:
-            raise ShapeMismatch(f"parameters and gradients of mixed dtypes "
-                                f"{sorted(map(str, dtypes))}")
-        if self._m is None:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
-            self._scratch = tuple(np.empty(self._CHUNK_BYTES, np.uint8).view(*dtypes)
-                                  for _ in range(2))
-        if len(params) != len(self._m) or dtypes - {self._scratch[0].dtype}:
-            raise ShapeMismatch("parameter list or dtype changed between steps")
+        if len(dtypes) != 1:
+            raise ShapeMismatch(f"need parameters and gradients of one dtype, "
+                                f"got {sorted(map(str, dtypes))}")
+        if len(params) != len(grads):
+            raise ShapeMismatch(f"{len(params)} parameters but {len(grads)} gradients")
         for p, g in zip(params, grads):
             if p.shape != g.shape or not (p.flags.c_contiguous and g.flags.c_contiguous):
                 raise ShapeMismatch("need C-contiguous parameters and gradients of equal shape")
+        self.learning_rate = learning_rate
+        self.step_count = 0
+        self._scratch = tuple(np.empty(self._CHUNK_BYTES, np.uint8).view(*dtypes)
+                              for _ in range(2))
+        # flat views (all C-contiguous) of each parameter, its gradient, m and v
+        self._flat = [[x.reshape(-1) for x in (p, g, np.zeros_like(p), np.zeros_like(p))]
+                      for p, g in zip(params, grads)]
+
+    def step(self):
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
         # the whole-array formulas op by op, chunk by chunk: bit-identical results
         chunk = self._scratch[0].size
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            flat = [x.reshape(-1) for x in (p, g, m, v)]   # views: all C-contiguous
-            for s in range(0, p.size, chunk):
+        for flat in self._flat:
+            for s in range(0, flat[0].size, chunk):
                 pc, gc, mc, vc = (x[s:s + chunk] for x in flat)
                 a, b = (x[:pc.size] for x in self._scratch)
                 mc *= self.beta1
@@ -258,48 +257,8 @@ def encode_target(azimuths_deg, sigma_deg=TrainConfig.target_sigma_deg):
 # models
 # ---------------------------------------------------------------------------
 
-class _Layered:
-    """A model's arrays: one walk over ``layers()``, in checkpoint order."""
-
-    def parameters(self):
-        return [getattr(layer, name) for layer in self.layers() for name in layer.PARAMS]
-
-    def gradients(self):
-        return [getattr(layer, "grad_" + name)
-                for layer in self.layers() for name in layer.PARAMS]
-
-    def bn_stats(self):
-        return [getattr(layer, name) for layer in self.layers() for name in layer.STATS]
-
-
-class Mlp3(_Layered):
-    """Dense -> BatchNorm -> ReLU blocks, then Dense -> sigmoid, from ``layers`` in that order."""
-
-    def __init__(self, layers):
-        self.blocks = list(zip(layers[:-1:2], layers[1:-1:2]))
-        self.out = layers[-1]
-
-    def forward(self, x, train):
-        self._relu_in = []
-        for dense, bn in self.blocks:
-            x = bn.forward(dense.forward(x), train)
-            self._relu_in.append(x)
-            x = relu(x)
-        self._y = sigmoid(self.out.forward(x))
-        return self._y
-
-    def backward(self, dy):
-        dx = self.out.backward(sigmoid_backward(dy, self._y))
-        for (dense, bn), pre in zip(reversed(self.blocks), reversed(self._relu_in)):
-            dx = dense.backward(bn.backward(relu_backward(dx, pre)))
-        return dx
-
-    def layers(self):
-        return [layer for block in self.blocks for layer in block] + [self.out]
-
-
 def _layout(kind, gcc_dim, vis_dim, out_dim, hidden, wn_hidden):
-    """A DoaModel's layers in ``layers()`` order: (class, PARAMS shapes, STATS shapes).
+    """A DoaModel's layers in checkpoint order: (class, PARAMS shapes, STATS shapes).
 
     Shapes only, so a checkpoint header is checked before anything is allocated.
     """
@@ -325,26 +284,39 @@ def _layout(kind, gcc_dim, vis_dim, out_dim, hidden, wn_hidden):
     return table + [dense(dims[-1], out_dim)]
 
 
-class DoaModel(_Layered):
+class DoaModel:
     """MLP3 trunk behind the input stage named by ``kind`` (gcc_only, avc or avaw).
 
     ``arrays`` are the parameters, then the running stats, in checkpoint
     order and laid out by ``_layout``.  The model computes on them in place,
-    in their dtype (float32 or float64); inputs are cast to it.  The avaw
+    in their dtype (float32 or float64); inputs are cast to it.  The trunk is
+    Dense -> BatchNorm -> ReLU blocks, then Dense -> sigmoid.  The avaw
     weight net's latest softmax weights are kept on ``last_weights``.
     """
 
     def __init__(self, kind, hidden, weight_net_hidden, gcc_dim, vis_dim, out_dim, arrays):
         table = _layout(kind, gcc_dim, vis_dim, out_dim, hidden, weight_net_hidden)
         params, stats = iter(arrays), iter(arrays[sum(len(p) for _, p, _ in table):])
-        layers = [cls(*(next(params) for _ in p), *(next(stats) for _ in s))
-                  for cls, p, s in table]
+        self._layers = [cls(*(next(params) for _ in p), *(next(stats) for _ in s))
+                        for cls, p, s in table]
         self.kind, self.hidden, self.weight_net_hidden = kind, tuple(hidden), weight_net_hidden
         self.gcc_dim, self.vis_dim, self.out_dim = gcc_dim, vis_dim, out_dim
         self.dtype = arrays[0].dtype
         self.last_weights = None
-        self.wn1, self.wn2, *trunk = layers if kind == "avaw" else [None, None, *layers]
-        self.core = Mlp3(trunk)
+        self.wn1, self.wn2, *trunk = (self._layers if kind == "avaw"
+                                      else [None, None, *self._layers])
+        self._trunk = list(zip(trunk[:-1:2], trunk[1:-1:2]))
+        self._out = trunk[-1]
+
+    def parameters(self):
+        return [getattr(layer, name) for layer in self._layers for name in layer.PARAMS]
+
+    def gradients(self):
+        return [getattr(layer, "grad_" + name)
+                for layer in self._layers for name in layer.PARAMS]
+
+    def bn_stats(self):
+        return [getattr(layer, name) for layer in self._layers for name in layer.STATS]
 
     def _checked(self, gcc, vis):
         """The inputs in the model's dtype (no visual input for audio only)."""
@@ -372,19 +344,26 @@ class DoaModel(_Layered):
         return [gcc, vis[:, :half], vis[:, half:]]
 
     def forward(self, gcc, vis=None, train=False):
-        gcc, vis = self._checked(gcc, vis)
-        if not self.vis_dim:
-            return self.core.forward(gcc, train)
-        blocks = [gcc, vis]
+        x, vis = self._checked(gcc, vis)
         if self.kind == "avaw":
-            weights = self.last_weights = self.adaptive_weights(gcc, vis)
-            self._inputs = (gcc, vis)
-            blocks = [block * weights[:, k:k + 1]
-                      for k, block in enumerate(self._blocks(gcc, vis))]
-        return self.core.forward(np.concatenate(blocks, axis=1), train)
+            weights = self.last_weights = self.adaptive_weights(x, vis)
+            self._inputs = (x, vis)
+            x = np.concatenate([block * weights[:, k:k + 1]
+                                for k, block in enumerate(self._blocks(x, vis))], axis=1)
+        elif self.vis_dim:
+            x = np.concatenate([x, vis], axis=1)
+        self._relu_in = []
+        for dense, bn in self._trunk:
+            x = bn.forward(dense.forward(x), train)
+            self._relu_in.append(x)
+            x = relu(x)
+        self._y = sigmoid(self._out.forward(x))
+        return self._y
 
     def backward(self, dy):
-        dz = self.core.backward(dy)
+        dz = self._out.backward(sigmoid_backward(dy, self._y))
+        for (dense, bn), pre in zip(reversed(self._trunk), reversed(self._relu_in)):
+            dz = dense.backward(bn.backward(relu_backward(dz, pre)))
         if self.kind == "avaw":
             d_blocks = self._blocks(dz[:, :self.gcc_dim], dz[:, self.gcc_dim:])
             dweights = np.stack(
@@ -393,9 +372,6 @@ class DoaModel(_Layered):
             )
             dlogits = softmax_backward(dweights, self.last_weights)
             self.wn1.backward(relu_backward(self.wn2.backward(dlogits), self._wn_pre))
-
-    def layers(self):
-        return ([self.wn1, self.wn2] if self.kind == "avaw" else []) + self.core.layers()
 
 
 def build_model(kind, hidden=TrainConfig.hidden,
@@ -443,9 +419,9 @@ def train_model(model, gcc, vis, targets, config):
         raise ShapeMismatch("feature and target row counts differ")
     gcc, targets = (np.asarray(a, dtype=model.dtype) for a in (gcc, targets))
     vis = None if vis is None else np.asarray(vis, dtype=model.dtype)
-    adam = Adam(config.learning_rate)
+    params = model.parameters()
+    adam = Adam(params, model.gradients(), config.learning_rate)
     rng = np.random.default_rng([config.seed, 1])
-    params, grads = model.parameters(), model.gradients()
     history = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -460,7 +436,7 @@ def train_model(model, gcc, vis, targets, config):
             if not np.isfinite(loss):
                 raise NaNLoss(f"non-finite loss at epoch {epoch}, step {len(losses)}")
             model.backward(dy)
-            adam.step(params, grads)
+            adam.step()
             for p in params:
                 if not np.all(np.isfinite(p)):
                     raise NaNLoss(f"non-finite parameter after epoch {epoch} update")

@@ -19,21 +19,36 @@ _MAGIC = b"DOAF"
 _VERSION = 1
 
 
+def _text_lines(path):
+    """Yield (line number, line) for each line of a UTF-8 text file.
+
+    Each line is decoded on its own, so a byte that is not UTF-8 raises
+    ConfigError naming the file and the line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for lineno, raw in enumerate(data.splitlines(), start=1):   # \n, \r\n or \r
+        try:
+            yield lineno, raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}:{lineno}: not UTF-8 text "
+                              f"(byte {raw[exc.start]:#04x} at offset {exc.start})") from exc
+
+
 def read_key_values(path):
     """Parse a 'key = value' text file ('#' starts a comment).
 
     Returns (key, value) pairs in file order; keys may repeat.
     """
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            entries.append((key.strip(), value.strip()))
+    for lineno, raw in _text_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        entries.append((key.strip(), value.strip()))
     return entries
 
 
@@ -43,18 +58,17 @@ def read_jsonl(path):
     A line that is not JSON, or not a JSON object, raises ConfigError
     naming the file and the line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{lineno}: column {exc.colno}: {exc.msg}") from exc
-            if not isinstance(record, dict):
-                raise ConfigError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, record
+    for lineno, line in _text_lines(path):
+        line = line.rstrip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{lineno}: column {exc.colno}: {exc.msg}") from exc
+        if not isinstance(record, dict):
+            raise ConfigError(f"{path}:{lineno}: expected a JSON object")
+        yield lineno, record
 
 
 def write_jsonl(path, records):

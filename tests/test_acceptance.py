@@ -291,7 +291,7 @@ def test_criterion_08_avaw_contract():
     model.wn2.weight[...] = 0.0
     model.wn2.bias[...] = 0.0
     avc = nn.build_model("avc", hidden=(32, 32, 32), seed=9)
-    for dst, src in zip(avc.core.parameters(), model.core.parameters()):
+    for dst, src in zip(avc.parameters(), model.parameters()[4:]):
         dst[...] = src
     gcc = rng.standard_normal((64, 306))
     vis = rng.standard_normal((64, 102))

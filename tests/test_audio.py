@@ -12,7 +12,6 @@ from avdoa.errors import (
     LagRangeTooSmall,
     SampleRateMismatch,
     SilentSignal,
-    TooShort,
 )
 from helpers import complex_fft_gcc_feature, time_domain_phat_oracle
 
@@ -71,10 +70,11 @@ class TestSynthSource:
         ref = audio.synth_source("white", 0.5, 16000, seed=2)
         path = tmp_path / "src.wav"
         audio.save_wav(path, ref)
-        stored = audio.load_wav(path).samples[0]
+        wav = audio.load_wav(path)
+        stored = wav.samples[0]
         segments = []
         for seed in (0, 0, 1):
-            sig = audio.synth_source("wav_file", 0.25, 16000, seed=seed, wav_path=str(path))
+            sig = audio.synth_source("wav_file", 0.25, 16000, seed=seed, wav=wav)
             assert sig.samples.shape == (1, 4000)
             # a contiguous run of the file's samples
             starts = [s for s in range(stored.size - 4000 + 1)
@@ -82,12 +82,6 @@ class TestSynthSource:
             assert len(starts) == 1
             segments.append(starts[0])
         assert segments[0] == segments[1] != segments[2]
-        with pytest.raises(SampleRateMismatch):
-            audio.synth_source("wav_file", 0.25, 48000, wav_path=str(path))
-        with pytest.raises(TooShort):
-            audio.synth_source("wav_file", 2.0, 16000, wav_path=str(path))
-        with pytest.raises(FileNotFoundError):
-            audio.synth_source("wav_file", 0.1, 16000, wav_path=str(tmp_path / "no.wav"))
 
 
 class TestRenderArray:
@@ -220,6 +214,21 @@ class TestMemoryPeaks:
         loaded, peak = _traced_peak(lambda: audio.load_wav(tmp_path / "x.wav"))
         assert np.array_equal(loaded.samples, x)
         assert peak <= 1.05 * x.nbytes
+
+    def test_pcm16_load_scales_in_float32_exactly(self, tmp_path):
+        rng = np.random.default_rng(0)
+        pcm = rng.integers(-2**15, 2**15, (240000, 4)).astype(np.int16)
+        pcm[:2, 0] = (-2**15, 2**15 - 1)
+        _write_pcm(tmp_path / "x.wav", pcm, 16000)
+        loaded, peak = _traced_peak(lambda: audio.load_wav(tmp_path / "x.wav"))
+        assert peak <= 3.05 * pcm.nbytes      # the int16 data and its float32 copy
+        wide = pcm.T * 2.0**-15
+        assert loaded.samples.dtype == np.float32 and np.array_equal(loaded.samples, wide)
+        for start in (0, 8000, 100000):
+            frames = [audio.MultichannelAudio(x[:, start:start + 2000], 16000)
+                      for x in (loaded.samples, wide)]
+            got, want = (audio.gcc_feature(frame).values for frame in frames)
+            assert np.array_equal(got, want)
 
 
 class TestGccPhatPair:

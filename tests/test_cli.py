@@ -227,6 +227,14 @@ class TestParser:
         errors = capsys.readouterr().err.splitlines()
         assert errors == [f"error: {cfg}: unknown keys frmaes, visibilty"] * 2
 
+    def test_config_file_not_utf8_exits_2_naming_the_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"frames = 12\n\xff = 1\n")
+        assert run("simulate", "--out", tmp_path / "ds", "--config", cfg) == 2
+        assert not (tmp_path / "ds").exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg}:2: not UTF-8 text (byte 0xff at offset 0)"]
+
 
 class TestFeatures:
     def test_store_layout(self, pipeline):
@@ -461,6 +469,13 @@ def _set_key(path, key, value):
     _replace_line(path, line, f"{key} = {value}")
 
 
+def _prefix_bytes(path, line, data):
+    """Put ``data`` (bytes that are not UTF-8) at the start of 0-based ``line``."""
+    lines = path.read_bytes().splitlines()
+    lines[line] = data + lines[line]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+
+
 def _cut_wav(ds):
     wav = audio.load_wav(ds / "audio.wav")
     audio.save_wav(ds / "audio.wav", audio.MultichannelAudio(
@@ -553,6 +568,16 @@ MALFORMED = {
         "ds", "array.txt", lambda p: _set_key(p, "mic", "0 zero 0"), "array.txt: 'mic' "),
     "focal_length_nan": (
         "ds", "camera.txt", lambda p: _set_key(p, "f_u", "nan"), "camera.txt: 'f_u' "),
+    "labels_not_utf8": (
+        "feats", "labels.jsonl", lambda p: _prefix_bytes(p, 2, b"\xff"), "labels.jsonl:3:"),
+    "manifest_not_utf8": (
+        "ds", "manifest.jsonl", lambda p: _prefix_bytes(p, 4, b"\xc3("), "manifest.jsonl:5:"),
+    "detections_not_utf8": (
+        "ds", "detections.jsonl", lambda p: _prefix_bytes(p, 0, b"\xff"), "detections.jsonl:1:"),
+    "array_not_utf8": (
+        "ds", "array.txt", lambda p: _prefix_bytes(p, 1, b"# \x80"), "array.txt:2:"),
+    "camera_not_utf8": (
+        "ds", "camera.txt", lambda p: _prefix_bytes(p, 0, b"\xfe"), "camera.txt:1:"),
 }
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -90,9 +91,11 @@ class TestSimulate:
                      source_counts={2: 1.0})
         dataset.simulate(small_config(**scene), tmp_path / "ds")
         assert calls == [str(path)]      # 20 frames of two sources each
-        with pytest.raises(SampleRateMismatch):
+        with pytest.raises(SampleRateMismatch,
+                           match=re.escape(f"{path}: 16000 Hz, requested 8000 Hz")):
             dataset.simulate(small_config(**dict(scene, sample_rate=8000)), tmp_path / "a")
-        with pytest.raises(TooShort):
+        with pytest.raises(TooShort,
+                           match=re.escape(f"{path}: 16000 samples < 32000 requested")):
             dataset.simulate(small_config(**dict(scene, frame_len_s=2.0)), tmp_path / "b")
         with pytest.raises(FileNotFoundError):
             dataset.simulate(small_config(**dict(scene, wav_path=str(tmp_path / "no.wav"))),

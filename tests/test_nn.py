@@ -194,27 +194,27 @@ class TestMseLoss:
 
 class TestAdam:
     def test_default_learning_rate(self):
-        assert nn.Adam().learning_rate == 0.001
+        assert nn.Adam([np.zeros(3)], [np.zeros(3)]).learning_rate == 0.001
 
     def test_zero_gradient_no_change(self):
         p = np.array([1.0, -2.0, 3.0])
-        adam = nn.Adam()
-        adam.step([p], [np.zeros(3)])
+        adam = nn.Adam([p], [np.zeros(3)])
+        adam.step()
         assert np.array_equal(p, [1.0, -2.0, 3.0])
 
     def test_first_step_magnitude(self):
         # hand-computed first Adam step for g=1: -lr * 1 / (1 + eps)
         p = np.array([0.0])
-        adam = nn.Adam()
-        adam.step([p], [np.array([1.0])])
+        adam = nn.Adam([p], [np.array([1.0])])
+        adam.step()
         expected = -0.001 / (1.0 + 1e-8)
         assert abs(p[0] - expected) < 1e-6
 
     def test_state_accumulates(self):
         p = np.array([0.0])
-        adam = nn.Adam()
+        adam = nn.Adam([p], [np.array([1.0])])
         for _ in range(5):
-            adam.step([p], [np.array([1.0])])
+            adam.step()
         assert adam.step_count == 5
         assert p[0] < -0.004   # roughly lr per step under constant gradient
 
@@ -229,11 +229,13 @@ class TestAdam:
             expected = [p.copy() for p in params]
             m = [np.zeros(s, dtype) for s in shapes]
             v = [np.zeros(s, dtype) for s in shapes]
-            adam = nn.Adam()
+            grads = [np.empty(s, dtype) for s in shapes]
+            adam = nn.Adam(params, grads)
             b1, b2, lr, eps = adam.beta1, adam.beta2, adam.learning_rate, adam.eps
             for t in range(1, 4):
-                grads = [rng.standard_normal(s).astype(dtype) for s in shapes]
-                adam.step(params, grads)
+                for g, s in zip(grads, shapes):
+                    g[...] = rng.standard_normal(s).astype(dtype)
+                adam.step()
                 bc1 = 1.0 - b1**t
                 bc2 = 1.0 - b2**t
                 for p, g, mi, vi in zip(expected, grads, m, v):
@@ -247,24 +249,21 @@ class TestAdam:
 
     def test_mixed_dtypes_rejected(self):
         p32, p64 = np.zeros(3, np.float32), np.zeros(3)
-        with pytest.raises(ShapeMismatch, match="mixed dtypes"):
-            nn.Adam().step([p32, p64], [np.ones(3, np.float32), np.ones(3)])
-        with pytest.raises(ShapeMismatch, match="mixed dtypes"):
-            nn.Adam().step([p32], [np.ones(3)])
-        adam = nn.Adam()
-        adam.step([p32], [np.ones(3, np.float32)])
-        with pytest.raises(ShapeMismatch):
-            adam.step([p64], [np.ones(3)])   # the state is float32
-        assert np.array_equal(p64, np.zeros(3))
+        with pytest.raises(ShapeMismatch, match="one dtype"):
+            nn.Adam([p32, p64], [np.ones(3, np.float32), np.ones(3)])
+        with pytest.raises(ShapeMismatch, match="one dtype"):
+            nn.Adam([p32], [np.ones(3)])
 
     def test_non_contiguous_or_misshapen_rejected(self):
         # the update writes through flat views, which need C order
         with pytest.raises(ShapeMismatch):
-            nn.Adam().step([np.zeros((4, 6))[:, ::2]], [np.ones((4, 3))])
+            nn.Adam([np.zeros((4, 6))[:, ::2]], [np.ones((4, 3))])
         with pytest.raises(ShapeMismatch):
-            nn.Adam().step([np.zeros((4, 3))], [np.ones((4, 3)).T.copy().T])
+            nn.Adam([np.zeros((4, 3))], [np.ones((4, 3)).T.copy().T])
         with pytest.raises(ShapeMismatch):
-            nn.Adam().step([np.zeros((4, 3))], [np.ones((3, 4))])
+            nn.Adam([np.zeros((4, 3))], [np.ones((3, 4))])
+        with pytest.raises(ShapeMismatch, match="2 parameters but 1 gradients"):
+            nn.Adam([np.zeros(3), np.zeros(3)], [np.ones(3)])
 
 
 class TestEncodeTarget:
@@ -375,7 +374,7 @@ class TestNetworks:
         avaw.wn2.weight[...] = 0.0
         avaw.wn2.bias[...] = 0.0
         avc = nn.build_model("avc", hidden=(16, 16, 16), seed=4)
-        for dst, src in zip(avc.core.parameters(), avaw.core.parameters()):
+        for dst, src in zip(avc.parameters(), avaw.parameters()[4:]):
             dst[...] = src
         rng = np.random.default_rng(5)
         gcc = rng.standard_normal((6, 306))

@@ -1,15 +1,18 @@
-"""Property tests of the binary readers: a damaged .doaf, .doam or .wav file
-gives a result or a typed error (AvdoaError, OSError), never any other exception.
-A WAV gives finite audio or BadWav (or OSError)."""
+"""Property tests of the readers: a damaged .doaf, .doam or .wav file, or a
+damaged text file of a dataset or features directory, gives a result or a typed
+error (AvdoaError, OSError), never any other exception.  A WAV gives finite
+audio or BadWav (or OSError)."""
 
+import shutil
 import wave
 
 import numpy as np
 import pytest
 
-from avdoa import audio, nn
+from avdoa import audio, cli, geom, nn, visual
+from avdoa.dataset import FrameDataset
 from avdoa.errors import AvdoaError, BadWav
-from avdoa.store import read_feature_store, write_feature_store
+from avdoa.store import read_feature_store, read_jsonl, write_feature_store
 from helpers import tiny_model
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -60,5 +63,43 @@ def test_damaged_file_gives_result_or_typed_error(files, name, reader):
             return
         if is_wav:
             assert np.isfinite(result.samples).all()
+
+    check()
+
+
+@pytest.fixture(scope="module")
+def scene(tmp_path_factory):
+    """A 3-frame dataset directory that also holds its features' labels.jsonl."""
+    root = tmp_path_factory.mktemp("scene")
+    assert cli.main(["simulate", "--out", str(root / "ds"), "--frames", "3", "--seed", "1",
+                     "--source-kind", "white"]) == 0
+    assert cli.main(["features", "--dataset", str(root / "ds"),
+                     "--out", str(root / "feats")]) == 0
+    shutil.copy(root / "feats" / "labels.jsonl", root / "ds")
+    return root / "ds"
+
+
+TEXT_READERS = {
+    "manifest.jsonl": lambda path: FrameDataset.load(path.parent),
+    "detections.jsonl": visual.load_detections,
+    "labels.jsonl": lambda path: list(read_jsonl(path)),
+    "camera.txt": geom.load_calibration,
+    "array.txt": geom.load_array_geometry,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_READERS))
+def test_damaged_text_file_gives_result_or_typed_error(scene, tmp_path, name):
+    damaged = tmp_path / "ds"
+    shutil.copytree(scene, damaged)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(_damaged((scene / name).read_bytes()))
+    def check(data):
+        (damaged / name).write_bytes(data)
+        try:
+            TEXT_READERS[name](damaged / name)
+        except (AvdoaError, OSError):
+            pass
 
     check()

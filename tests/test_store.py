@@ -5,7 +5,7 @@ import pytest
 
 from avdoa.errors import BadMagic, ConfigError, TruncatedFile, VersionMismatch
 from avdoa.store import (json_field, json_numbers, read_feature_store, read_jsonl,
-                         write_feature_store)
+                         read_key_values, write_feature_store)
 
 
 class TestFeatureStore:
@@ -90,6 +90,15 @@ class TestJsonLines:
         path.write_text('{"a": 1}\n' + text + "\n")
         with pytest.raises(ConfigError, match="^" + re.escape(f"{path}:2: ")):
             list(read_jsonl(path))
+
+    @pytest.mark.parametrize("read", [read_jsonl, read_key_values])
+    def test_undecodable_line_names_file_and_line(self, tmp_path, read):
+        # \r\n, \r and \n each end a line, as in a text-mode file
+        path = tmp_path / "x.txt"
+        path.write_bytes(b' \r\n\r\t\n{"a" = "\xe2\x82"}\n')
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{path}:4: not UTF-8 text (byte 0xe2 at offset 8)") + "$"):
+            list(read(path))
 
     def test_field_kinds(self):
         record = {"i": 3, "f": 2.5, "b": True, "s": "x", "l": [1], "n": float("nan"),
