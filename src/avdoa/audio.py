@@ -15,9 +15,11 @@ SRP-PHAT steering both use this convention, so a source at azimuth theta
 produces pair peaks at the lags SRP-PHAT predicts for theta.
 """
 
+import functools
 import os
 import struct
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -85,6 +87,22 @@ class GccFeature:
             raise ValueError("lag axis inconsistent with lag range")
 
 
+@functools.lru_cache(maxsize=4)
+def _speech_tables(n, sample_rate):
+    """What an n-sample speech-like source takes from no seed: its FFT length,
+    the all-pole filter's spectrum and the syllabic phase ramp (shared: only
+    read them).
+
+    The filter is a division of spectra, at the shortest length f * 2**a
+    (f = 1, 3, 5 or 9, all quick for np.fft) at least 408 samples past the
+    signal: the filter's impulse response falls below 1e-18 by then, so
+    nothing wraps around into it.
+    """
+    n_fft = min(f << (-(-(n + 408) // f) - 1).bit_length() for f in (1, 3, 5, 9))
+    ramp = 2.0 * np.pi * _SYLLABLE_RATE_HZ * (np.arange(n) / sample_rate)
+    return n_fft, np.fft.rfft(_SPEECH_AR, n_fft), ramp
+
+
 def synth_source(kind, duration_s, sample_rate, seed=None, wav=None):
     """Generate (or load) a one-channel test source, deterministic per seed.
 
@@ -104,16 +122,10 @@ def synth_source(kind, duration_s, sample_rate, seed=None, wav=None):
     if kind == "white":
         return MultichannelAudio(rng.standard_normal((1, n)), sample_rate)
     if kind == "speech_like_ar":
-        # the all-pole filter as a division of spectra, at the shortest
-        # length f * 2**a (f = 1, 3, 5 or 9, all quick for np.fft) at least
-        # 408 samples past the signal: the filter's impulse response falls
-        # below 1e-18 by then, so nothing wraps around into it
-        n_fft = min(f << (-(-(n + 408) // f) - 1).bit_length() for f in (1, 3, 5, 9))
-        x = np.fft.irfft(np.fft.rfft(rng.standard_normal(n), n_fft)
-                         / np.fft.rfft(_SPEECH_AR, n_fft), n_fft)[:n]
+        n_fft, ar_spectrum, ramp = _speech_tables(n, sample_rate)
+        x = np.fft.irfft(np.fft.rfft(rng.standard_normal(n), n_fft) / ar_spectrum, n_fft)[:n]
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        t = np.arange(n) / sample_rate
-        envelope = (0.5 + 0.5 * np.sin(2.0 * np.pi * _SYLLABLE_RATE_HZ * t + phase)) ** 2
+        envelope = (0.5 + 0.5 * np.sin(ramp + phase)) ** 2
         x = x * envelope
         rms = np.sqrt(np.mean(x**2))
         if rms > 0:
@@ -214,45 +226,60 @@ def add_noise_at_snr(audio, snr_db, seed=None):
     return MultichannelAudio(noise, audio.sample_rate)
 
 
-def _whitened_cross_spectrum(spectra, fft_len):
-    """PHAT-whitened one-sided cross spectra of all channel pairs (l < p).
-
-    Bins under 1e-12 of their pair's largest bin are zeroed, so scaling
-    either input changes nothing.  Returns the (P, bins) weights and, per
-    pair, the number of contributing bins of the two-sided spectrum.
-    Each channel is first scaled, in place, by the power of two that brings
-    its largest bin into [0.5, 1) (or up by 2**1021 at most, which stays
-    finite): exact, and no product below can overflow.
-    """
-    _, exponent = np.frexp(np.abs(spectra).max(axis=1, keepdims=True))
-    spectra *= np.ldexp(1.0, -np.maximum(exponent, -1021))
-    l, p = np.triu_indices(spectra.shape[0], k=1)
-    cross = np.multiply(spectra[l], np.conj(spectra[p]))
-    mag = np.abs(cross)
-    peak = mag.max(axis=1, keepdims=True)
-    if np.any(peak == 0.0):
-        raise AllZeroSpectrum("all cross-spectrum bins vanished (silent frame?)")
-    keep = mag > 1e-12 * peak
-    weights = np.divide(cross, mag, out=np.zeros_like(cross), where=keep)
-    # an interior bin is two bins of the two-sided spectrum; DC and Nyquist one
-    nyquist = keep[:, -1] if fft_len % 2 == 0 else 0
-    return weights, 2 * keep.sum(axis=1) - keep[:, 0] - nyquist
+@functools.lru_cache(maxsize=1)
+def _gcc_scratch(channels, fft_len):
+    """Work arrays of _gcc_rows for one (channels, fft_len), kept between calls."""
+    l, p = np.triu_indices(channels, k=1)
+    bins, pairs = fft_len // 2 + 1, len(l)
+    return SimpleNamespace(
+        l=l, p=p, x=np.zeros((channels, fft_len)), spectra_abs=np.empty((channels, bins)),
+        spectra=np.empty((channels, bins), complex), conj=np.empty((channels, bins), complex),
+        cross=np.empty((pairs, bins), complex), weights=np.empty((pairs, bins), complex),
+        mag=np.empty((pairs, bins)), keep=np.empty((pairs, bins), bool),
+        cc=np.empty((pairs, fft_len)))
 
 
 def _gcc_rows(samples, lags, fft_len):
-    """GCC-PHAT rows of every pair of a (C, T) frame; see gcc_phat_pair."""
+    """GCC-PHAT rows of every pair of a (C, T) frame; see gcc_phat_pair.
+
+    Each step writes into the work arrays of ``_gcc_scratch``, kept for the
+    last (channels, fft_len), so a stack of frames allocates only its rows;
+    that makes this function not reentrant.  Each channel's spectrum is
+    scaled by the power of two that brings its largest bin into [0.5, 1) (or
+    up by 2**1021 at most): exact, and no cross spectrum can overflow.  The
+    PHAT weights zero the bins under 1e-12 of their pair's largest bin, so
+    scaling either input changes nothing.
+    """
     lag_min, lag_max = int(lags[0]), int(lags[1])
     if lag_min > lag_max:
         raise ValueError("lag range is empty")
+    channels, n = samples.shape
     if fft_len is None:
-        fft_len = 1 << int(np.ceil(np.log2(max(samples.shape[1], 2))))
-    if fft_len < samples.shape[1]:
+        fft_len = 1 << int(np.ceil(np.log2(max(n, 2))))
+    if fft_len < n:
         raise ValueError("fft_len must be at least the frame length")
-    # float64 here: numpy transforms float32 input in single precision.  C
-    # order, so each channel's bins are contiguous even for a WAV's frames.
-    spectra = np.fft.rfft(np.asarray(samples, dtype=np.float64, order="C"), fft_len, axis=1)
-    weights, n_bins = _whitened_cross_spectrum(spectra, fft_len)
-    cc = np.fft.irfft(weights, fft_len, axis=-1)
+    s = _gcc_scratch(channels, fft_len)
+    # float64 here: numpy transforms float32 input in single precision.  The
+    # tail is zeroed on every call, as a longer frame may have filled it.
+    s.x[:, :n] = samples
+    s.x[:, n:] = 0.0
+    spectra = np.fft.rfft(s.x, axis=1, out=s.spectra)
+    _, exponent = np.frexp(np.abs(spectra, out=s.spectra_abs).max(axis=1, keepdims=True))
+    spectra *= np.ldexp(1.0, -np.maximum(exponent, -1021))
+    np.conjugate(spectra, out=s.conj)
+    for k, (l, p) in enumerate(zip(s.l, s.p)):
+        np.multiply(spectra[l], s.conj[p], out=s.cross[k])
+    mag = np.abs(s.cross, out=s.mag)
+    peak = mag.max(axis=1, keepdims=True)
+    if np.any(peak == 0.0):
+        raise AllZeroSpectrum("all cross-spectrum bins vanished (silent frame?)")
+    keep = np.greater(mag, 1e-12 * peak, out=s.keep)
+    s.weights.fill(0.0)
+    np.divide(s.cross, mag, out=s.weights, where=keep)
+    # an interior bin is two bins of the two-sided spectrum; DC and Nyquist one
+    nyquist = keep[:, -1] if fft_len % 2 == 0 else 0
+    n_bins = 2 * keep.sum(axis=1) - keep[:, 0] - nyquist
+    cc = np.fft.irfft(s.weights, fft_len, axis=-1, out=s.cc)
     idx = np.arange(lag_min, lag_max + 1) % fft_len
     return cc[:, idx] * (fft_len / n_bins)[:, None]
 

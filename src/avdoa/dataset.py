@@ -86,8 +86,11 @@ class ScenarioConfig:
             raise ConfigError("z_range must be a (low, high) pair")
         if not 0.0 <= self.visibility <= 1.0:
             raise ConfigError("visibility must be in [0, 1]")
-        if not (self.sample_rate > 0 and self.frame_len_s > 0):
-            raise ConfigError("sample_rate and frame_len_s must be positive")
+        # a WAV header holds the rate in a u32, and round(x) >= 1 exactly when x > 0.5
+        if not 0 < self.sample_rate < 2**32:
+            raise ConfigError("sample_rate must lie in [1, 2**32)")
+        if not 0.5 < self.frame_len_s * self.sample_rate < 2**32:
+            raise ConfigError("frame_len_s must give from 1 to 2**32 samples")
         if self.source_kind not in audio_mod.SOURCE_KINDS:
             raise ConfigError(f"source_kind must be one of {', '.join(audio_mod.SOURCE_KINDS)}")
         if self.source_kind == "wav_file" and self.wav_path is None:
@@ -121,8 +124,7 @@ def _sample_position(rng, config, array, cal, want_visible, taken_azimuths):
         position = array.origin + np.array(
             [distance * np.cos(theta), distance * np.sin(theta), z]
         )
-        box = geom.synthesize_bbox(position, cal)
-        if (box is not None) == want_visible:
+        if geom.in_view(position, cal) == want_visible:
             return position, float(geom.wrap_degrees(azimuth))
     raise ConfigError(
         "could not place a source with the requested visibility; "

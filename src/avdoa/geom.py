@@ -139,11 +139,16 @@ def perturb_location(point, variances, rng):
     ``variances`` are the per-axis noise variances in m^2 (the diagonal of
     the spatial noise covariance).  ``rng`` is a seed or a
     numpy.random.Generator; a fixed seed gives bit-reproducible output.
+    With every variance 0 the result is ``p + 0.0``, the value a zero-scale
+    draw gives, and no generator is built or drawn from: a passed
+    Generator's state is left as it was.
     """
     p = _as_point(point)
     var = np.asarray(variances, dtype=float).reshape(3)
     if np.any(var < 0) or not np.all(np.isfinite(var)):
         raise ValueError("noise variances must be finite and non-negative")
+    if not var.any():
+        return p + 0.0
     rng = np.random.default_rng(rng)
     return p + rng.normal(0.0, np.sqrt(var))
 
@@ -165,6 +170,16 @@ def project_point(point_cam, cal):
     return np.array([cal.f_u * x / z + cal.c_u, cal.f_v * y / z + cal.c_v])
 
 
+def in_view(point, cal):
+    """Whether a world point is visible: strictly in front of the camera, with
+    its projection inside the image (right and bottom edges excluded)."""
+    p_cam = world_to_camera(point, cal)
+    if p_cam[2] <= 0:
+        return False
+    u, v = project_point(p_cam, cal)
+    return bool(0 <= u < cal.width and 0 <= v < cal.height)
+
+
 def synthesize_bbox(point, cal, face=FaceSize(), variances=(0.0, 0.0, 0.0), rng=None):
     """Simulate a face detection for a 3D head position.
 
@@ -173,17 +188,14 @@ def synthesize_bbox(point, cal, face=FaceSize(), variances=(0.0, 0.0, 0.0), rng=
     axis is projected: top-left corner offset (-W/2, -H/2, 0), bottom-right
     (+W/2, +H/2, 0).  The box is (top_left, bottom_right - top_left).
 
-    Returns None (not visible) when the jittered point lies behind the
-    camera or its projection center falls outside the image bounds.  Boxes
+    Returns None when the jittered point is not ``in_view``: behind the
+    camera, or with its projection center outside the image.  Boxes
     whose corners stick out of the image are kept un-clipped.
     """
     noisy = perturb_location(point, variances, rng)
+    if not in_view(noisy, cal):
+        return None
     p_cam = world_to_camera(noisy, cal)
-    if p_cam[2] <= 0:
-        return None
-    center = project_point(p_cam, cal)
-    if not (0 <= center[0] < cal.width and 0 <= center[1] < cal.height):
-        return None
     half = np.array([face.width_m / 2.0, face.height_m / 2.0, 0.0])
     top_left = project_point(p_cam - half, cal)
     bottom_right = project_point(p_cam + half, cal)

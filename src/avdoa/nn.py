@@ -239,10 +239,13 @@ def encode_target(azimuths_deg, sigma_deg=TrainConfig.target_sigma_deg):
     """Soft 360-class label: Gaussian of circular distance, max over sources.
 
     Class i covers azimuth i - 180 degrees.  A source exactly on a grid
-    value yields 1.0 there; distances wrap across +/-180.
+    value yields 1.0 there; distances wrap across +/-180.  The sigma must be
+    positive, with its square and 180**2 over its square finite floats.
     """
-    if not 0.0 < sigma_deg < np.inf:
-        raise ValueError(f"target sigma must be finite and positive, got {sigma_deg}")
+    square = float(sigma_deg) * float(sigma_deg)    # inf on overflow, where ** raises
+    if not (sigma_deg > 0.0 and 0.0 < square < np.inf and 180.0**2 / square < np.inf):
+        raise ValueError("target sigma must be positive, with sigma**2 and "
+                         f"(180 / sigma)**2 finite positive floats, got {sigma_deg}")
     grid = np.arange(N_CLASSES, dtype=float) - 180.0
     target = np.zeros(N_CLASSES)
     for az in azimuths_deg:

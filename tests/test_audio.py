@@ -1,4 +1,7 @@
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import wave
 
@@ -338,6 +341,69 @@ class TestGccFeature:
         samples[2] = 0.0
         with pytest.raises(AllZeroSpectrum):
             audio.gcc_feature(audio.MultichannelAudio(samples, 48000))
+
+
+class TestGccScratch:
+    """_gcc_rows works in one set of arrays kept between calls: no call may
+    see what an earlier one left there, or hand out a view of them."""
+
+    # (seed, channels, samples, fft_len, dtype): a longer frame at the same
+    # FFT length before a shorter one, other channel counts and FFT lengths,
+    # float32 and float64 frames
+    CASES = [(0, 4, 8160, None, np.float64), (1, 4, 5000, 8192, np.float64),
+             (2, 2, 8160, None, np.float32), (3, 4, 300, 8192, np.float32),
+             (4, 6, 2000, 4096, np.float64), (5, 4, 8160, 16384, np.float64),
+             (6, 4, 100, 8192, np.float64)]
+
+    @staticmethod
+    def _frame(seed, channels, samples, fft_len, dtype):
+        x = np.random.default_rng(seed).standard_normal((channels, samples)).astype(dtype)
+        return audio.MultichannelAudio(x, 48000)
+
+    @classmethod
+    def _gcc(cls, i):
+        return audio.gcc_feature(cls._frame(*cls.CASES[i]), fft_len=cls.CASES[i][3]).values
+
+    def test_results_equal_a_fresh_process_whatever_ran_before(self):
+        # the reference: each case alone, in a child process of its own
+        src = os.path.dirname(os.path.dirname(os.path.abspath(audio.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("import sys, numpy as np\n"
+                  "from avdoa import audio\n"
+                  "from test_audio import TestGccScratch as T\n"
+                  "sys.stdout.write(T._gcc(int(sys.argv[1])).tobytes().hex())\n")
+        fresh = []
+        for i in range(len(self.CASES)):
+            done = subprocess.run([sys.executable, "-c", script, str(i)], env=env,
+                                  cwd=os.path.dirname(__file__), capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            fresh.append(done.stdout)
+        order = list(range(len(self.CASES)))
+        silent = audio.MultichannelAudio(np.zeros((4, 8160)), 48000)
+        for sequence in (order, order[::-1], order[1::2] + order[::2]):
+            with pytest.raises(AllZeroSpectrum):       # stops part-way through the scratch
+                audio.gcc_feature(silent)
+            for i in sequence:
+                assert self._gcc(i).tobytes().hex() == fresh[i], (sequence, i)
+
+    def test_a_result_is_not_changed_by_the_next_call(self):
+        first = self._gcc(0)
+        kept = first.copy()
+        self._gcc(1)
+        assert np.array_equal(first, kept)
+        pair = audio.gcc_phat_pair(*self._frame(*self.CASES[2]).samples)
+        kept = pair.copy()
+        audio.gcc_phat_pair(*self._frame(*self.CASES[3]).samples[:2])
+        assert np.array_equal(pair, kept)
+
+    def test_a_warm_frame_allocates_little(self):
+        # the work arrays of a (4, 8160) frame take about 2.3 MB; once they
+        # exist a frame peaks at 130 kB (1.44 MB when each call made its own)
+        frame = self._frame(*self.CASES[0])
+        audio.gcc_feature(frame)
+        _, peak = _traced_peak(lambda: audio.gcc_feature(frame))
+        assert peak < 256 * 1024
 
 
 class TestGccAgainstComplexFft:

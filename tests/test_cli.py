@@ -668,10 +668,11 @@ class TestBaselineCommand:
 
 
 class TestRefusedLevelsAndWidths:
-    """Non-finite, out-of-range or repeated corruption levels, a zero target
-    sigma and zero widths exit 2 with one error line, before anything is
-    written.  An SNR is out of range when its noise power is not a finite
-    positive float."""
+    """Non-finite, out-of-range or repeated corruption levels, a target sigma
+    that is zero or whose square leaves the float range, zero widths, and a
+    frame length or sample rate outside what a WAV holds exit 2 with one
+    error line, before anything is written.  An SNR is out of range when its
+    noise power is not a finite positive float."""
 
     @pytest.mark.parametrize("argv", [
         ["features", "--snr", "nan"],
@@ -683,6 +684,12 @@ class TestRefusedLevelsAndWidths:
         ["robustness", "--fdsp-levels=-50,0"],
         ["robustness", "--fdsp-levels", "0,nan"],
         ["train", "--model", "avc", "--sigma", "0"],
+        ["train", "--model", "avc", "--sigma", "1e300"],      # its square overflows
+        ["train", "--model", "avc", "--sigma", "1e-300"],     # its square underflows to 0
+        ["train", "--model", "avc", "--sigma", "1e-152"],     # 180**2 / its square overflows
+        ["simulate", "--frame-len", "1e-300"],                # rounds to 0 samples
+        ["simulate", "--frame-len", "0.00001"],
+        ["simulate", "--sample-rate", "1" + "0" * 400],       # past float and u32
         ["train", "--model", "avc", "--widths", "0,8"],
         ["train", "--model", "avaw", "--weight-net-hidden", "0"],
         ["features", "--snr", "1e300"],
@@ -701,7 +708,7 @@ class TestRefusedLevelsAndWidths:
         _, ds, feats, ckpt = pipeline
         inputs = {"features": ["--dataset", ds], "baseline": ["--dataset", ds],
                   "robustness": ["--checkpoint", ckpt, "--dataset", ds],
-                  "train": ["--features", feats]}[argv[0]]
+                  "train": ["--features", feats], "simulate": []}[argv[0]]
         out = tmp_path / "out"
         assert run(*argv, *inputs, "--out", out) == 2
         assert list(tmp_path.iterdir()) == []

@@ -50,6 +50,14 @@ class TestPerturbLocation:
         with pytest.raises(ValueError):
             geom.perturb_location([0, 0, 0], (-0.1, 0, 0), rng=0)
 
+    def test_zero_variances_add_zero_and_leave_the_generator_alone(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        p = np.array([-0.0, 1.5, -2.0])
+        got = geom.perturb_location(p, (0.0, 0.0, 0.0), rng)
+        assert got.tobytes() == (p + 0.0).tobytes()        # -0.0 + 0.0 is +0.0
+        assert rng.bit_generator.state == state
+
 
 class TestWorldToCamera:
     def test_identity(self):
@@ -150,6 +158,37 @@ class TestSynthesizeBbox:
         far = geom.synthesize_bbox([3.0, 0.0, 0.0], cal)
         assert far.w == pytest.approx(near.w / 2, rel=0.01)
         assert far.h == pytest.approx(near.h / 2, rel=0.01)
+
+
+class TestInView:
+    # f = 128 and c = 128 on a 256 x 256 image, so a point with x/z (or
+    # y/z) at -1 projects onto the left (top) edge and at +1 onto the right
+    # (bottom) edge, exactly
+    CAL = identity_cal(f_u=128.0, f_v=128.0, c_u=128.0, c_v=128.0, width=256, height=256)
+
+    @pytest.mark.parametrize("point, visible", [
+        ((0.0, 0.0, 2.0), True),          # on the optical axis
+        ((0.0, 0.0, -2.0), False),        # behind the camera
+        ((0.0, 0.0, 0.0), False),         # in the camera's plane
+        ((-2.0, 0.0, 2.0), True),         # left edge: u = 0
+        ((0.0, -2.0, 2.0), True),         # top edge: v = 0
+        ((2.0, 0.0, 2.0), False),         # right edge: u = width
+        ((0.0, 2.0, 2.0), False),         # bottom edge: v = height
+        ((1.9, 1.9, 2.0), True),          # inside, near the bottom-right corner
+        ((-2.1, 0.0, 2.0), False),        # just past the left edge
+    ])
+    def test_edges(self, point, visible):
+        assert geom.in_view(point, self.CAL) is visible
+        assert (geom.synthesize_bbox(point, self.CAL) is not None) is visible
+
+    def test_agrees_with_synthesize_bbox(self):
+        cal = default_calibration()
+        rng = np.random.default_rng(3)
+        points = np.column_stack([rng.uniform(-3, 3, 2000), rng.uniform(-3, 3, 2000),
+                                  rng.uniform(-1, 1, 2000)])
+        seen = [geom.in_view(p, cal) for p in points]
+        assert seen == [geom.synthesize_bbox(p, cal) is not None for p in points]
+        assert 100 < sum(seen) < 1900
 
 
 class TestDoaFromPosition:
