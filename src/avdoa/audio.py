@@ -87,22 +87,6 @@ class GccFeature:
             raise ValueError("lag axis inconsistent with lag range")
 
 
-@functools.lru_cache(maxsize=4)
-def _speech_tables(n, sample_rate):
-    """What an n-sample speech-like source takes from no seed: its FFT length,
-    the all-pole filter's spectrum and the syllabic phase ramp (shared: only
-    read them).
-
-    The filter is a division of spectra, at the shortest length f * 2**a
-    (f = 1, 3, 5 or 9, all quick for np.fft) at least 408 samples past the
-    signal: the filter's impulse response falls below 1e-18 by then, so
-    nothing wraps around into it.
-    """
-    n_fft = min(f << (-(-(n + 408) // f) - 1).bit_length() for f in (1, 3, 5, 9))
-    ramp = 2.0 * np.pi * _SYLLABLE_RATE_HZ * (np.arange(n) / sample_rate)
-    return n_fft, np.fft.rfft(_SPEECH_AR, n_fft), ramp
-
-
 def synth_source(kind, duration_s, sample_rate, seed=None, wav=None):
     """Generate (or load) a one-channel test source, deterministic per seed.
 
@@ -122,10 +106,16 @@ def synth_source(kind, duration_s, sample_rate, seed=None, wav=None):
     if kind == "white":
         return MultichannelAudio(rng.standard_normal((1, n)), sample_rate)
     if kind == "speech_like_ar":
-        n_fft, ar_spectrum, ramp = _speech_tables(n, sample_rate)
-        x = np.fft.irfft(np.fft.rfft(rng.standard_normal(n), n_fft) / ar_spectrum, n_fft)[:n]
+        # the all-pole filter as a division of spectra, at the shortest
+        # length f * 2**a (f = 1, 3, 5 or 9, all quick for np.fft) at least
+        # 408 samples past the signal: the filter's impulse response falls
+        # below 1e-18 by then, so nothing wraps around into it
+        n_fft = min(f << (-(-(n + 408) // f) - 1).bit_length() for f in (1, 3, 5, 9))
+        x = np.fft.irfft(np.fft.rfft(rng.standard_normal(n), n_fft)
+                         / np.fft.rfft(_SPEECH_AR, n_fft), n_fft)[:n]
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        envelope = (0.5 + 0.5 * np.sin(ramp + phase)) ** 2
+        t = np.arange(n) / sample_rate
+        envelope = (0.5 + 0.5 * np.sin(2.0 * np.pi * _SYLLABLE_RATE_HZ * t + phase)) ** 2
         x = x * envelope
         rms = np.sqrt(np.mean(x**2))
         if rms > 0:
@@ -243,8 +233,8 @@ def _gcc_rows(samples, lags, fft_len):
     """GCC-PHAT rows of every pair of a (C, T) frame; see gcc_phat_pair.
 
     Each step writes into the work arrays of ``_gcc_scratch``, kept for the
-    last (channels, fft_len), so a stack of frames allocates only its rows;
-    that makes this function not reentrant.  Each channel's spectrum is
+    last (channels, fft_len) up to 2**14 points, so a stack of frames
+    allocates only its rows; that makes this function not reentrant.  Each channel's spectrum is
     scaled by the power of two that brings its largest bin into [0.5, 1) (or
     up by 2**1021 at most): exact, and no cross spectrum can overflow.  The
     PHAT weights zero the bins under 1e-12 of their pair's largest bin, so
@@ -259,6 +249,8 @@ def _gcc_rows(samples, lags, fft_len):
     if fft_len < n:
         raise ValueError("fft_len must be at least the frame length")
     s = _gcc_scratch(channels, fft_len)
+    if fft_len > 2**14:    # longer than a frame: held only by s, freed on return
+        _gcc_scratch.cache_clear()
     # float64 here: numpy transforms float32 input in single precision.  The
     # tail is zeroed on every call, as a longer frame may have filled it.
     s.x[:, :n] = samples

@@ -139,16 +139,11 @@ def perturb_location(point, variances, rng):
     ``variances`` are the per-axis noise variances in m^2 (the diagonal of
     the spatial noise covariance).  ``rng`` is a seed or a
     numpy.random.Generator; a fixed seed gives bit-reproducible output.
-    With every variance 0 the result is ``p + 0.0``, the value a zero-scale
-    draw gives, and no generator is built or drawn from: a passed
-    Generator's state is left as it was.
     """
     p = _as_point(point)
     var = np.asarray(variances, dtype=float).reshape(3)
     if np.any(var < 0) or not np.all(np.isfinite(var)):
         raise ValueError("noise variances must be finite and non-negative")
-    if not var.any():
-        return p + 0.0
     rng = np.random.default_rng(rng)
     return p + rng.normal(0.0, np.sqrt(var))
 

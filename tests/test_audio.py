@@ -349,11 +349,11 @@ class TestGccScratch:
 
     # (seed, channels, samples, fft_len, dtype): a longer frame at the same
     # FFT length before a shorter one, other channel counts and FFT lengths,
-    # float32 and float64 frames
+    # float32 and float64 frames, and a transform too long to be kept
     CASES = [(0, 4, 8160, None, np.float64), (1, 4, 5000, 8192, np.float64),
              (2, 2, 8160, None, np.float32), (3, 4, 300, 8192, np.float32),
              (4, 6, 2000, 4096, np.float64), (5, 4, 8160, 16384, np.float64),
-             (6, 4, 100, 8192, np.float64)]
+             (6, 4, 100, 8192, np.float64), (7, 3, 20000, None, np.float64)]
 
     @staticmethod
     def _frame(seed, channels, samples, fft_len, dtype):
@@ -396,6 +396,12 @@ class TestGccScratch:
         kept = pair.copy()
         audio.gcc_phat_pair(*self._frame(*self.CASES[3]).samples[:2])
         assert np.array_equal(pair, kept)
+
+    def test_only_frame_sized_work_arrays_are_kept(self):
+        self._gcc(7)                                   # 32768 points
+        assert audio._gcc_scratch.cache_info().currsize == 0
+        self._gcc(5)                                   # 16384 points
+        assert audio._gcc_scratch.cache_info().currsize == 1
 
     def test_a_warm_frame_allocates_little(self):
         # the work arrays of a (4, 8160) frame take about 2.3 MB; once they
