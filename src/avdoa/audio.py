@@ -234,11 +234,11 @@ def _gcc_rows(samples, lags, fft_len):
 
     Each step writes into the work arrays of ``_gcc_scratch``, kept for the
     last (channels, fft_len) up to 2**14 points, so a stack of frames
-    allocates only its rows; that makes this function not reentrant.  Each channel's spectrum is
-    scaled by the power of two that brings its largest bin into [0.5, 1) (or
-    up by 2**1021 at most): exact, and no cross spectrum can overflow.  The
-    PHAT weights zero the bins under 1e-12 of their pair's largest bin, so
-    scaling either input changes nothing.
+    allocates only its rows; that makes this function not reentrant.  Each
+    channel's spectrum is scaled by the power of two that brings its largest
+    bin into [0.5, 1) (or up by 2**1021 at most): exact, and no cross
+    spectrum can overflow.  The PHAT weights zero the bins under 1e-12 of
+    their pair's largest bin, so scaling either input changes nothing.
     """
     lag_min, lag_max = int(lags[0]), int(lags[1])
     if lag_min > lag_max:
