@@ -31,6 +31,7 @@ from .errors import (
     SampleRateMismatch,
     SilentSignal,
 )
+from .store import write_bytes
 
 DEFAULT_FRAME_LEN_S = 0.170
 DEFAULT_LAGS = (-25, 25)
@@ -429,7 +430,5 @@ def save_wav(path, audio):
     header = _WAV_HEADER.pack(b"RIFF", _WAV_HEADER.size - 8 + size, b"WAVE",
                               b"fmt ", 18, 3, channels, rate, rate * block, block, 32, 0,
                               b"fact", 4, frames, b"data", size)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        # a view, not a copy, when the samples are a (T, C) float32 array transposed
-        fh.write(np.ascontiguousarray(audio.samples.T, dtype="<f4"))
+    # a view, not a copy, when the samples are a (T, C) float32 array transposed
+    write_bytes(path, [header, np.ascontiguousarray(audio.samples.T, dtype="<f4")])

@@ -18,7 +18,7 @@ from . import dataset as dataset_mod
 from . import evaluation, geom, nn
 from .errors import AvdoaError, ConfigError, NaNLoss
 from .store import (json_field, json_numbers, read_feature_store, read_jsonl,
-                    read_key_values, write_feature_store, write_jsonl)
+                    read_key_values, write_feature_store, write_jsonl, write_text)
 
 GCC_STORE = "gcc.doaf"
 VISUAL_STORE = "visual.doaf"
@@ -207,10 +207,8 @@ def cmd_train(args):
         config,
     )
     nn.save_checkpoint(model, args.out)
-    with open(f"{args.out}.losses.csv", "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss\n")
-        for epoch, loss in enumerate(history):
-            fh.write(f"{epoch},{loss:.10g}\n")
+    write_text(f"{args.out}.losses.csv",
+               ["epoch,loss", *(f"{epoch},{loss:.10g}" for epoch, loss in enumerate(history))])
     print(f"trained {args.model} on {len(train_idx)} frames; "
           f"final loss {history[-1]:.6g}; checkpoint at {args.out}")
 
@@ -230,9 +228,8 @@ def _report(summary, out_dir, prefix):
                    "" if result is None else f"{result.acc:.2f}"]
     os.makedirs(out_dir, exist_ok=True)
     write_jsonl(os.path.join(out_dir, f"{prefix}results.jsonl"), summary["overall"].records)
-    with open(os.path.join(out_dir, f"{prefix}summary.csv"), "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.write(",".join(values) + "\n")
+    write_text(os.path.join(out_dir, f"{prefix}summary.csv"),
+               [",".join(columns), ",".join(values)])
     for label, title in (("n1", "N=1"), ("n2", "N=2"), ("overall", "overall")):
         result = summary[label]
         if result is None:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import CardinalityMismatch, EmptyDataset
 from .geom import wrap_degrees
+from .store import write_text
 
 ACC_ALLOWANCE_DEG = 5.0
 NMS_RADIUS_DEG = 10.0
@@ -191,12 +192,10 @@ def robustness_grid(model, dataset, snr_levels=SNR_LEVELS_DB, fdsp_levels=FDSP_L
 def _write_table(grid, path, column, cell):
     """CSV with one row per SNR level and one column per FDSP level; each
     cell is ``cell.format(mae, acc)``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = ["snr_db"] + [f"{column}_{fdsp_percent(f)}pct" for f in grid.fdsp_levels]
-        fh.write(",".join(header) + "\n")
-        for snr in grid.snr_levels:
-            cells = [cell.format(mae, acc) for mae, acc in grid.row(snr)]
-            fh.write(",".join([snr_label(snr)] + cells) + "\n")
+    header = ["snr_db"] + [f"{column}_{fdsp_percent(f)}pct" for f in grid.fdsp_levels]
+    write_text(path, [",".join(header), *(
+        ",".join([snr_label(snr)] + [cell.format(mae, acc) for mae, acc in grid.row(snr)])
+        for snr in grid.snr_levels)])
 
 
 def write_grid_csv(grid, path):
@@ -249,5 +248,4 @@ def render_svg_chart(grid, path):
             f"FDSP {fdsp_percent(fdsp)}%</text>",
         ]
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_text(path, parts)

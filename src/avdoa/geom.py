@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BehindCamera, ConfigError, DegenerateGeometry
-from .store import read_key_values
+from .store import read_key_values, write_key_values
 
 
 def wrap_degrees(angle):
@@ -234,14 +234,9 @@ def _kv_floats(entries, key, count, path):
 
 
 def save_calibration(cal, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# pinhole camera calibration\n")
-        fh.write("rotation = " + " ".join(f"{x:.17g}" for x in cal.rotation.ravel()) + "\n")
-        fh.write("translation = " + " ".join(f"{x:.17g}" for x in cal.translation) + "\n")
-        for key in ("f_u", "f_v", "c_u", "c_v"):
-            fh.write(f"{key} = {getattr(cal, key):.17g}\n")
-        fh.write(f"width = {cal.width}\n")
-        fh.write(f"height = {cal.height}\n")
+    write_key_values(path, "pinhole camera calibration", [
+        ("rotation", cal.rotation.ravel()), ("translation", cal.translation),
+        *((key, [getattr(cal, key)]) for key in ("f_u", "f_v", "c_u", "c_v", "width", "height"))])
 
 
 def load_calibration(path):
@@ -262,13 +257,9 @@ def load_calibration(path):
 
 
 def save_array_geometry(array, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# microphone array geometry (meters)\n")
-        fh.write(f"c = {array.speed_of_sound:.17g}\n")
-        fh.write("origin = " + " ".join(f"{x:.17g}" for x in array.origin) + "\n")
-        fh.write(f"yaw_deg = {array.yaw_deg:.17g}\n")
-        for pos in array.positions:
-            fh.write("mic = " + " ".join(f"{x:.17g}" for x in pos) + "\n")
+    write_key_values(path, "microphone array geometry (meters)", [
+        ("c", [array.speed_of_sound]), ("origin", array.origin), ("yaw_deg", [array.yaw_deg]),
+        *(("mic", pos) for pos in array.positions)])
 
 
 def load_array_geometry(path):

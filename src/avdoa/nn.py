@@ -29,7 +29,7 @@ from .errors import (
     VersionMismatch,
 )
 from .geom import wrap_degrees
-from .store import Reader
+from .store import Reader, write_bytes
 
 N_CLASSES = 360
 GCC_DIM = 306       # 6 pairs x 51 lags
@@ -198,6 +198,10 @@ class Adam:
         for p, g in zip(params, grads):
             if p.shape != g.shape or not (p.flags.c_contiguous and g.flags.c_contiguous):
                 raise ShapeMismatch("need C-contiguous parameters and gradients of equal shape")
+        info = np.finfo(*dtypes)    # a rate outside its range rounds to 0 or overflows
+        if not float(info.smallest_subnormal) <= float(learning_rate) <= float(info.max):
+            raise ValueError(f"learning rate {learning_rate} is outside the {info.dtype} range "
+                             f"[{float(info.smallest_subnormal):g}, {float(info.max):g}]")
         self.learning_rate = learning_rate
         self.step_count = 0
         self._scratch = tuple(np.empty(self._CHUNK_BYTES, np.uint8).view(*dtypes)
@@ -412,8 +416,8 @@ def train_model(model, gcc, vis, targets, config):
     Fully deterministic for a fixed config seed: shuffling uses rng
     [seed, 1] so it is independent of the model-init stream.  Features and
     targets are cast to the model's dtype.  Raises NaNLoss the moment a
-    loss or parameter stops being finite.  Returns the per-epoch mean
-    batch loss.
+    step overflows or makes a NaN, or a loss or parameter stops being
+    finite.  Returns the per-epoch mean batch loss.
     """
     n = len(gcc)
     if n < 2:
@@ -434,12 +438,16 @@ def train_model(model, gcc, vis, targets, config):
             if idx.size < 2:
                 continue  # a stray final sample cannot form batch statistics
             batch_vis = None if vis is None else vis[idx]
-            pred = model.forward(gcc[idx], batch_vis, train=True)
-            loss, dy = mse_loss(pred, targets[idx])
-            if not np.isfinite(loss):
-                raise NaNLoss(f"non-finite loss at epoch {epoch}, step {len(losses)}")
-            model.backward(dy)
-            adam.step()
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    pred = model.forward(gcc[idx], batch_vis, train=True)
+                    loss, dy = mse_loss(pred, targets[idx])
+                    if not np.isfinite(loss):
+                        raise NaNLoss(f"non-finite loss at epoch {epoch}, step {len(losses)}")
+                    model.backward(dy)
+                    adam.step()
+            except FloatingPointError as exc:     # an overflow or NaN of this step
+                raise NaNLoss(f"{exc} at epoch {epoch}, step {len(losses)}") from exc
             for p in params:
                 if not np.all(np.isfinite(p)):
                     raise NaNLoss(f"non-finite parameter after epoch {epoch} update")
@@ -491,11 +499,8 @@ def save_checkpoint(model, path):
         _pack_block_table(params),
         _pack_block_table(stats),
     ]
-    blob = b"".join(header) + b"".join(
-        np.ascontiguousarray(a).astype(f"<f{code}").tobytes() for a in [*params, *stats]
-    )
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    write_bytes(path, [*header, *(np.ascontiguousarray(a, dtype=f"<f{code}")
+                                  for a in [*params, *stats])])
 
 
 def _read_block_table(reader):

@@ -1,5 +1,6 @@
-"""Binary per-frame feature container, the reader of both binary formats,
-and the text formats (key = value, JSON lines): checked readers, a JSON-lines writer.
+"""Binary per-frame feature container, the reader of both binary formats, the
+text formats (key = value, JSON lines), and ``write_bytes``, the one writer of
+every output file: a temp file beside it, then an atomic replace.
 
 Layout: magic "DOAF", version u16, then one or more records, one per
 frame, of {frame_index u32, P u16, L u16, P*L float32 values}, all
@@ -9,6 +10,7 @@ features directory; the CLI checks that they agree.
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -17,6 +19,29 @@ from .errors import BadMagic, ConfigError, TruncatedFile, VersionMismatch
 
 _MAGIC = b"DOAF"
 _VERSION = 1
+
+
+def write_bytes(path, chunks):
+    """Write the bytes-like ``chunks``, in order, as the file ``path``.
+
+    They go to a temp file in the same directory, which then replaces
+    ``path``; on any failure the temp file is removed, so ``path`` keeps its
+    old content or has all of the new.  No fsync.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "xb")    # mode 0o666 & ~umask, as open(path, "wb") gives
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def write_text(path, lines):
+    """Write each of ``lines`` as UTF-8 text followed by "\\n"."""
+    write_bytes(path, (f"{line}\n".encode("utf-8") for line in lines))
 
 
 def _text_lines(path):
@@ -52,6 +77,12 @@ def read_key_values(path):
     return entries
 
 
+def write_key_values(path, comment, entries):
+    """Write '# comment', then a 'key = x y ...' line per (key, numbers), each in .17g."""
+    write_text(path, [f"# {comment}", *(f"{key} = " + " ".join(f"{x:.17g}" for x in numbers)
+                                         for key, numbers in entries)])
+
+
 def read_jsonl(path):
     """Yield (line number, record) for each non-blank line of a JSON-lines file.
 
@@ -73,9 +104,7 @@ def read_jsonl(path):
 
 def write_jsonl(path, records):
     """Write each record, a JSON object, as one line of a JSON-lines file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
+    write_text(path, map(json.dumps, records))
 
 
 # what each kind of JSON field accepts: an int is a number, a bool is neither
@@ -180,8 +209,7 @@ def write_feature_store(path, frames):
         p, l = values.shape
         parts.append(struct.pack("<IHH", int(frame_index), p, l))
         parts.append(values.astype("<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    write_bytes(path, parts)
 
 
 def read_feature_store(path):

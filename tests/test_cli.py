@@ -323,12 +323,11 @@ class TestTrain:
         model = nn.load_checkpoint(out)
         assert model.kind == "avaw"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_blowup_exits_3(self, pipeline, tmp_path):
         # an absurd learning rate overflows the parameters within an epoch
         _, _, feats, _ = pipeline
         assert run("train", "--features", feats, "--model", "gcc_only",
-                   "--widths", "16,16,16", "--epochs", 4, "--lr", "1e300",
+                   "--widths", "16,16,16", "--epochs", 4, "--lr", "1e20",
                    "--seed", 0, "--out", tmp_path / "boom.doam") == 3
         assert not (tmp_path / "boom.doam").exists()
 
@@ -671,7 +670,8 @@ class TestRefusedLevelsAndWidths:
     """Non-finite, out-of-range or repeated corruption levels, a target sigma
     that is zero or whose square leaves the float range, zero widths, and a
     frame length or sample rate outside what a WAV holds exit 2 with one
-    error line, before anything is written.  An SNR is out of range when its
+    error line, before anything is written, as does a learning rate that the
+    model's float32 cannot hold.  An SNR is out of range when its
     noise power is not a finite positive float."""
 
     @pytest.mark.parametrize("argv", [
@@ -703,6 +703,9 @@ class TestRefusedLevelsAndWidths:
         ["robustness", "--snr-levels", "0,clean,CLEAN"],
         ["robustness", "--snr-levels", "0,-0"],
         ["robustness", "--fdsp-levels", "0,10,10.4"],
+        ["train", "--model", "avc", "--lr", "1e-46"],         # rounds to 0 in float32
+        ["train", "--model", "avc", "--lr", "1e-300"],
+        ["train", "--model", "avc", "--lr", "1e300"],         # past the float32 range
     ])
     def test_exits_2_and_writes_nothing(self, argv, pipeline, tmp_path, capsys):
         _, ds, feats, ckpt = pipeline

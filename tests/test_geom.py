@@ -257,6 +257,22 @@ class TestGeometryFiles:
         assert loaded.yaw_deg == array.yaw_deg
         assert loaded.speed_of_sound == array.speed_of_sound
 
+    def test_default_geometry_files_exact_text(self, tmp_path):
+        geom.save_calibration(default_calibration(), tmp_path / "camera.txt")
+        geom.save_array_geometry(geom.MicArray.square(), tmp_path / "array.txt")
+        assert (tmp_path / "camera.txt").read_bytes() == (
+            b"# pinhole camera calibration\n"
+            b"rotation = 0 -1 0 0 0 -1 1 0 0\n"
+            b"translation = 0 0 0\n"
+            b"f_u = 500\nf_v = 500\nc_u = 320\nc_v = 240\n"
+            b"width = 640\nheight = 480\n")
+        mic = "0.050000000000000003"
+        assert (tmp_path / "array.txt").read_bytes().decode("utf-8") == (
+            "# microphone array geometry (meters)\n"
+            "c = 343\norigin = 0 0 0\nyaw_deg = 0\n"
+            f"mic = {mic} {mic} 0\nmic = -{mic} {mic} 0\n"
+            f"mic = -{mic} -{mic} 0\nmic = {mic} -{mic} 0\n")
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("this is not key value\n")

@@ -196,6 +196,19 @@ class TestAdam:
     def test_default_learning_rate(self):
         assert nn.Adam([np.zeros(3)], [np.zeros(3)]).learning_rate == 0.001
 
+    @pytest.mark.parametrize("dtype, rate", [(np.float32, 1e-46), (np.float32, 1e300),
+                                             (np.float64, 0.0), (np.float64, np.inf),
+                                             (np.float64, np.nan)])
+    def test_refuses_a_rate_its_dtype_cannot_hold(self, dtype, rate):
+        with pytest.raises(ValueError, match="learning rate"):
+            nn.Adam([np.zeros(3, dtype)], [np.zeros(3, dtype)], rate)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_takes_the_ends_of_its_dtype_range(self, dtype):
+        info = np.finfo(dtype)
+        for rate in (float(info.smallest_subnormal), float(info.max)):
+            nn.Adam([np.zeros(3, dtype)], [np.zeros(3, dtype)], rate)
+
     def test_zero_gradient_no_change(self):
         p = np.array([1.0, -2.0, 3.0])
         adam = nn.Adam([p], [np.zeros(3)])
@@ -430,6 +443,14 @@ class TestTraining:
         config = nn.TrainConfig(epochs=1, batch_size=8, hidden=(8, 8, 8))
         model = nn.build_model("gcc_only", hidden=(8, 8, 8))
         with pytest.raises(NaNLoss):
+            nn.train_model(model, gcc, None, targets, config)
+
+    def test_overflow_is_nan_loss_with_its_epoch_and_step(self):
+        # float32 parameters moved by 1e20 per step overflow the next forward pass
+        gcc, targets = self._toy_data(n=16)
+        config = nn.TrainConfig(epochs=4, batch_size=8, learning_rate=1e20, hidden=(8, 8, 8))
+        model = nn.build_model("gcc_only", hidden=(8, 8, 8), dtype=np.float32)
+        with pytest.raises(NaNLoss, match=r"^overflow .* at epoch 0, step 1$"):
             nn.train_model(model, gcc, None, targets, config)
 
 

@@ -1,11 +1,71 @@
+import os
 import re
 
 import numpy as np
 import pytest
 
+from avdoa import cli
 from avdoa.errors import BadMagic, ConfigError, TruncatedFile, VersionMismatch
 from avdoa.store import (json_field, json_numbers, read_feature_store, read_jsonl,
-                         read_key_values, write_feature_store)
+                         read_key_values, write_bytes, write_feature_store, write_key_values,
+                         write_text)
+
+
+class TestAtomicWriter:
+    """write_bytes replaces the target with a whole new file or leaves it as it
+    was, and leaves no temp file either way."""
+
+    def test_chunks_in_order(self, tmp_path):
+        path = tmp_path / "out.bin"
+        write_bytes(path, iter([b"ab", np.arange(3, dtype="<u2"), memoryview(b"z")]))
+        assert path.read_bytes() == b"ab\x00\x00\x01\x00\x02\x00z"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_failing_chunks_leave_the_old_file_whole(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old content")
+
+        def chunks():
+            yield b"new"
+            raise RuntimeError("no more")
+
+        with pytest.raises(RuntimeError, match="no more"):
+            write_bytes(path, chunks())
+        assert path.read_bytes() == b"old content"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_directory_target_fails_with_no_temp_file(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_bytes(tmp_path / "out", [b"x"])
+        assert os.listdir(tmp_path) == ["out"] and os.listdir(tmp_path / "out") == []
+
+    def test_directory_target_exits_4_in_the_cli(self, tmp_path, capsys):
+        (tmp_path / "ds" / "array.txt").mkdir(parents=True)
+        assert cli.main(["simulate", "--out", str(tmp_path / "ds"), "--frames", "1",
+                         "--sample-rate", "8000", "--source-kind", "white"]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(os.listdir(tmp_path / "ds")) == ["array.txt"]
+
+    def test_parent_that_is_a_file_raises_not_a_directory(self, tmp_path):
+        (tmp_path / "file").write_bytes(b"")
+        with pytest.raises(NotADirectoryError):
+            write_bytes(tmp_path / "file" / "out.bin", [b"x"])
+        assert os.listdir(tmp_path) == ["file"]
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        write_bytes(tmp_path / "out.bin", [b"x"])
+        assert os.stat(tmp_path / "out.bin").st_mode & 0o777 == 0o666 & ~umask
+
+    def test_text_and_key_values(self, tmp_path):
+        write_text(tmp_path / "t.txt", ["a,b", "ü"])
+        assert (tmp_path / "t.txt").read_bytes() == "a,b\nü\n".encode("utf-8")
+        write_key_values(tmp_path / "k.txt", "note", [("x", [0.1, 2]), ("n", np.array([3.0]))])
+        assert (tmp_path / "k.txt").read_text() == "# note\nx = 0.10000000000000001 2\nn = 3\n"
+        assert read_key_values(tmp_path / "k.txt") == [("x", "0.10000000000000001 2"),
+                                                       ("n", "3")]
 
 
 class TestFeatureStore:
