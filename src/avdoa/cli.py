@@ -172,8 +172,8 @@ def _load_features_dir(features_dir, need_visual=True):
     for lineno, record in read_jsonl(path):
         where = f"{path}:{lineno}"
         indices.append(json_field(record, "frame_index", int, where))
-        azimuths.append(json_numbers(json_field(record, "azimuths", list, where),
-                                     where, "'azimuths'"))
+        azimuths.append([geom.checked_azimuth(az, where) for az in json_numbers(
+            json_field(record, "azimuths", list, where), where, "'azimuths'")])
         if not azimuths[-1]:
             raise ConfigError(f"{where}: 'azimuths' is empty")
     gcc = _read_store(features_dir, GCC_STORE, indices)
@@ -316,7 +316,6 @@ def cmd_robustness(args):
     os.makedirs(args.out, exist_ok=True)
     evaluation.write_grid_csv(grid, os.path.join(args.out, "robustness_grid.csv"))
     evaluation.write_plot_data(grid, os.path.join(args.out, "mae_vs_snr.csv"))
-    evaluation.render_svg_chart(grid, os.path.join(args.out, "robustness.svg"))
     for snr in grid.snr_levels:
         cells = "  ".join(f"{mae:6.2f}/{acc:5.1f}" for mae, acc in grid.row(snr))
         print(f"SNR {evaluation.snr_label(snr):>5}: {cells}")

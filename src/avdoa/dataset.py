@@ -242,7 +242,8 @@ def _read_frame(raw, where, array, frame_samples, n_samples):
             raise ConfigError(f"{where}: each active source must be a JSON object")
         position = np.array([json_field(src, axis, float, where) for axis in "xyz"])
         derived = geom.doa_from_position(position, array)
-        azimuth = float(json_field(src, "azimuth_deg", float, where, derived))
+        azimuth = geom.checked_azimuth(
+            float(json_field(src, "azimuth_deg", float, where, derived)), where)
         if abs(geom.wrap_degrees(azimuth - derived)) > 1e-6:
             raise ConfigError(
                 f"{where}: frame {index} azimuth {azimuth} inconsistent "

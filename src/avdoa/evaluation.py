@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CardinalityMismatch, EmptyDataset
+from .errors import CardinalityMismatch, EmptyDataset, ShapeMismatch
 from .geom import wrap_degrees
+from .nn import N_CLASSES
 from .store import write_text
 
 ACC_ALLOWANCE_DEG = 5.0
@@ -129,11 +130,16 @@ def _result(records):
 def score(score_maps, truths, frame_indices=None):
     """Decode each frame's 360-bin map for its known source count and score it.
 
-    Returns {"n1", "n2", "overall"} -> EvalResult, None for a subset with no
-    frames.  Every frame is matched once: the N=1 and N=2 results are built
-    from the overall result's per-frame records.
+    ``score_maps`` must be (frames, 360): ShapeMismatch otherwise, as for a
+    checkpoint of another output width.  Returns {"n1", "n2", "overall"} ->
+    EvalResult, None for a subset with no frames.  Every frame is matched
+    once: the N=1 and N=2 results are built from the overall result's
+    per-frame records.
     """
     truths = list(truths)
+    if np.shape(score_maps) != (len(truths), N_CLASSES):
+        raise ShapeMismatch(f"expected ({len(truths)}, {N_CLASSES}) score maps, "
+                            f"got {np.shape(score_maps)}")
     preds = [decode_doa(scores, len(t)) for scores, t in zip(score_maps, truths)]
     overall = mae_acc(preds, truths, frame_indices)
     summary = {"overall": overall}
@@ -207,45 +213,3 @@ def write_plot_data(grid, path):
     """MAE-vs-SNR curves, one column per FDSP level."""
     _write_table(grid, path, "mae_fdsp", "{0:.4f}")
 
-
-def render_svg_chart(grid, path):
-    """Dependency-free static line chart of the MAE-vs-SNR curves."""
-    width, height, left, right, top, bottom = 640, 420, 60, 150, 30, 50
-    plot_w, plot_h = width - left - right, height - top - bottom
-    colors = ["#d62728", "#ff7f0e", "#2ca02c", "#1f77b4", "#9467bd", "#8c564b"]
-    y_max = max(mae for mae, _ in grid.cells.values()) * 1.05 or 1.0
-
-    def x_pos(i):
-        return left + plot_w * (i / max(len(grid.snr_levels) - 1, 1))
-
-    def y_pos(value):
-        return top + plot_h * (1.0 - value / y_max)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
-        f'<line x1="{left}" y1="{top + plot_h}" '
-        f'x2="{left + plot_w}" y2="{top + plot_h}" stroke="black"/>',
-        f'<text x="{left - 45}" y="{top + plot_h / 2}" font-size="12" '
-        f'transform="rotate(-90 {left - 45} {top + plot_h / 2})">MAE (deg)</text>',
-        f'<text x="{left + plot_w / 2 - 30}" y="{height - 12}" '
-        f'font-size="12">audio SNR (dB)</text>',
-        *(f'<text x="{x_pos(i) - 10}" y="{top + plot_h + 18}" font-size="11">'
-          f"{snr_label(snr)}</text>" for i, snr in enumerate(grid.snr_levels)),
-        *(f'<text x="{left - 38}" y="{y_pos(tick) + 4}" font-size="11">{tick:.0f}</text>'
-          for tick in np.linspace(0.0, y_max, 5)),
-    ]
-    for j, fdsp in enumerate(grid.fdsp_levels):
-        color, ly = colors[j % len(colors)], top + 16 * j + 10
-        points = " ".join(f"{x_pos(i):.1f},{y_pos(grid.cells[(snr, fdsp)][0]):.1f}"
-                          for i, snr in enumerate(grid.snr_levels))
-        parts += [
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>',
-            f'<line x1="{width - right + 10}" y1="{ly}" x2="{width - right + 35}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>',
-            f'<text x="{width - right + 42}" y="{ly + 4}" font-size="11">'
-            f"FDSP {fdsp_percent(fdsp)}%</text>",
-        ]
-    parts.append("</svg>")
-    write_text(path, parts)

@@ -26,6 +26,14 @@ def wrap_degrees(angle):
     return (np.asarray(angle, dtype=float) + 180.0) % 360.0 - 180.0
 
 
+def checked_azimuth(azimuth, where):
+    """``azimuth``, read from a file; ConfigError naming ``where`` unless it
+    lies in [-180, 180)."""
+    if not -180.0 <= azimuth < 180.0:
+        raise ConfigError(f"{where}: azimuth {azimuth} outside [-180, 180)")
+    return azimuth
+
+
 def _as_point(p):
     p = np.asarray(p, dtype=float).reshape(3)
     if not np.all(np.isfinite(p)):

@@ -461,7 +461,7 @@ def train_model(model, gcc, vis, targets, config):
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"DOAM"
-_VERSION = 2                                       # version 1: no dtype code, f8 blocks
+_VERSION = 2
 _BLOCK_DTYPES = {4: np.float32, 8: np.float64}     # dtype code (its itemsize) -> dtype
 _ARCH_TAGS = {"avc": 0, "avaw": 1, "gcc_only": 2}
 _TAG_ARCHS = {v: k for k, v in _ARCH_TAGS.items()}
@@ -515,12 +515,11 @@ def load_checkpoint(path):
     """Rebuild a model from a checkpoint file's self-describing header.
 
     The shapes are checked against the header and the file's size before
-    anything is allocated.  The model takes the file's dtype; a version-1
-    file, which has no dtype code, holds float64.
+    anything is allocated.  The model takes the file's dtype.
     """
     reader = Reader(path)
-    version = reader.header(_MAGIC, (1, _VERSION), "checkpoint file")
-    code = reader.take("<B") if version > 1 else 8
+    reader.header(_MAGIC, _VERSION, "checkpoint file")
+    code = reader.take("<B")
     if code not in _BLOCK_DTYPES:
         raise VersionMismatch(f"{path}: unknown parameter dtype code {code}")
     arch = reader.take("<B")

@@ -36,10 +36,11 @@ def finite_difference(loss_fn, arrays, h=1e-5, sample=None, rng=None):
     return grads
 
 
-def tiny_model(dtype):
+def tiny_model(dtype, gcc_dim=4, vis_dim=2):
     """A seeded avaw model of ``dtype`` with out_dim 5, whose checkpoint is a
-    few hundred bytes: small enough to load every truncation of."""
-    widths = dict(gcc_dim=4, vis_dim=2, out_dim=5, hidden=(3, 2))
+    few hundred bytes at the default input widths: small enough to load every
+    truncation of."""
+    widths = dict(gcc_dim=gcc_dim, vis_dim=vis_dim, out_dim=5, hidden=(3, 2))
     table = nn._layout("avaw", wn_hidden=2, **widths)
     rng = np.random.default_rng(0)
     arrays = [rng.uniform(0.5, 1.5, shape).astype(dtype)

@@ -16,6 +16,7 @@ from avdoa import audio, cli, evaluation, nn, visual
 from avdoa.cli import main
 from avdoa.errors import ConfigError, VersionMismatch
 from avdoa.store import read_feature_store, write_feature_store
+from helpers import tiny_model
 
 
 def sha256(path):
@@ -399,6 +400,19 @@ class TestEvalCommand:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
+    def test_checkpoint_of_another_output_width_exits_2(self, pipeline, tmp_path, capsys):
+        """Scores are 360-bin maps, so a 5-class model is refused, not decoded."""
+        _, ds, feats, _ = pipeline
+        narrow = tmp_path / "narrow.doam"
+        nn.save_checkpoint(tiny_model(np.float32, gcc_dim=306, vis_dim=102), narrow)
+        capsys.readouterr()
+        for argv in [("eval", "--features", feats),
+                     ("robustness", "--dataset", ds, "--snr-levels", "clean",
+                      "--fdsp-levels", "0")]:
+            assert run(*argv, "--checkpoint", narrow, "--out", tmp_path / "out") == 2
+            assert not (tmp_path / "out").exists()
+            assert "(32, 360) score maps" in capsys.readouterr().err
+
     def test_wrong_checkpoint_path_exits_4(self, pipeline, tmp_path):
         _, _, feats, _ = pipeline
         assert run("eval", "--checkpoint", tmp_path / "none.doam",
@@ -503,6 +517,9 @@ MALFORMED = {
         lambda p: _edit_record(p, 0, lambda r: r.update(azimuths=[])), "labels.jsonl:1:"),
     "labels_bad_json": (
         "feats", "labels.jsonl", lambda p: _replace_line(p, 4, "{oops"), "labels.jsonl:5:"),
+    "labels_azimuth_out_of_range": (
+        "feats", "labels.jsonl",
+        lambda p: _edit_record(p, 3, lambda r: r.update(azimuths=[500.0])), "labels.jsonl:4:"),
     "manifest_without_timestamp": (
         "ds", "manifest.jsonl",
         lambda p: _edit_record(p, 2, lambda r: r.pop("timestamp_s")), "manifest.jsonl:3:"),
@@ -518,6 +535,11 @@ MALFORMED = {
     "manifest_sources_alias": (
         "ds", "manifest.jsonl",
         lambda p: _edit_record(p, 1, lambda r: r.update(sources=r.pop("active_sources"))),
+        "manifest.jsonl:2:"),
+    "source_azimuth_out_of_range": (    # derived azimuth + 360: it wraps to the right one
+        "ds", "manifest.jsonl",
+        lambda p: _edit_record(p, 1, lambda r: r["active_sources"][0].update(
+            azimuth_deg=r["active_sources"][0]["azimuth_deg"] + 360.0)),
         "manifest.jsonl:2:"),
     "source_without_z": (
         "ds", "manifest.jsonl",
@@ -605,7 +627,9 @@ class TestMalformedInputs:
                          "--checkpoint", small / "avaw.doam")]
         else:
             commands = [("train", "--features", tmp_path / "feats", "--model", "gcc_only",
-                         "--widths", "8,8,8", "--epochs", 1)]
+                         "--widths", "8,8,8", "--epochs", 1),
+                        ("eval", "--features", tmp_path / "feats",
+                         "--checkpoint", small / "avaw.doam")]
         capsys.readouterr()
         for argv in commands:
             assert run(*argv, "--out", tmp_path / "out") == 2
@@ -627,8 +651,7 @@ class TestRobustnessCommand:
         assert len(grid_lines) == 3
         plot_lines = (out / "mae_vs_snr.csv").read_text().strip().splitlines()
         assert plot_lines[0] == "snr_db,mae_fdsp_0pct,mae_fdsp_50pct"
-        svg = (out / "robustness.svg").read_text()
-        assert svg.startswith("<svg") and "polyline" in svg
+        assert {path.name for path in out.iterdir()} == {"robustness_grid.csv", "mae_vs_snr.csv"}
 
     def test_default_levels_are_the_papers_grid(self, pipeline, tmp_path):
         assert cli._parse_snr_levels("-10,0,10,20,clean") == evaluation.SNR_LEVELS_DB
